@@ -10,6 +10,9 @@
 //! * `canonical/schemes/*` — per-write plan construction for the encoding
 //!   schemes with real planning work (PALP's slot packing, WIRE's coset
 //!   row search); the controller calls these on every serviced write.
+//! * `canonical/workloads/*` — write-content synthesis: the vips content
+//!   model generating one line per iteration, the simulator's largest
+//!   host-time layer.
 //! * `canonical/telemetry/*` — per-event sink dispatch cost (the "tracing
 //!   off costs nothing" claim).
 //! * `canonical/writecache/*` — the DRAM write-cache tier's per-store
@@ -91,6 +94,36 @@ pub fn canonical_suite(c: &mut Criterion, quick: bool) {
         });
         g.bench_function("wire_plan", |b| {
             b.iter(|| black_box(WireWrite.plan(black_box(&ctx))))
+        });
+        g.finish();
+    }
+
+    // --- write-content synthesis ---------------------------------------
+    {
+        use pcm_memsim::WriteContent;
+        use pcm_types::LineData;
+        use pcm_workloads::ProfileContent;
+        let vips = WorkloadProfile::by_name("vips").expect("vips profile exists");
+        let mut g = c.benchmark_group("canonical/workloads");
+        g.sample_size(micro_samples);
+        g.throughput(Throughput::Elements(1));
+        // One write-back per iteration, cycling through a fixed 64-line
+        // working set. The state persists across batches and starts warm
+        // (every line past its first touch), so each batch times the same
+        // steady fresh/in-place mix whatever its size.
+        let mut content = ProfileContent::new(vips, 0xC0FFEE);
+        let mut lines = [LineData::zeroed(64); 64];
+        for _ in 0..16 {
+            for line in &mut lines {
+                *line = content.generate(0, line);
+            }
+        }
+        let mut i = 0;
+        g.bench_function("content_generate", |b| {
+            b.iter(|| {
+                i = (i + 1) % lines.len();
+                lines[i] = content.generate(0, black_box(&lines[i]));
+            })
         });
         g.finish();
     }
@@ -223,7 +256,10 @@ mod tests {
     /// test to the cheap micro benches.
     #[test]
     fn canonical_micro_benches_run_clean() {
-        let mut c = Criterion::with_filters(vec!["canonical/analysis".into()]);
+        let mut c = Criterion::with_filters(vec![
+            "canonical/analysis".into(),
+            "canonical/workloads".into(),
+        ]);
         canonical_suite(&mut c, true);
         assert!(!c.has_failures(), "{:?}", c.failures());
         let ids: Vec<&str> = c.results().iter().map(|r| r.id.as_str()).collect();
@@ -233,13 +269,28 @@ mod tests {
                 "canonical/analysis/transitions",
                 "canonical/analysis/flip_encode",
                 "canonical/analysis/analyze_line",
+                "canonical/workloads/content_generate",
             ]
         );
-        assert!(
+        let throughput = |id: &str| {
             c.results()
                 .iter()
-                .any(|r| matches!(r.throughput, Some(Throughput::Elements(8)))),
+                .find(|r| r.id == id)
+                .and_then(|r| r.throughput)
+        };
+        assert!(
+            matches!(
+                throughput("canonical/analysis/analyze_line"),
+                Some(Throughput::Elements(8))
+            ),
             "analyze_line carries its throughput annotation"
+        );
+        assert!(
+            matches!(
+                throughput("canonical/workloads/content_generate"),
+                Some(Throughput::Elements(1))
+            ),
+            "content_generate counts one line per iteration"
         );
     }
 }

@@ -16,6 +16,15 @@
 //! are deterministic: the same seed always produces the same stream, on
 //! every platform, forever — a hard requirement for reproducible
 //! simulation traces.
+//!
+//! That promise covers the derived draws too: a change to `gen_range`,
+//! `gen_bool` or `gen` must return the same values from the same raw
+//! draws and consume exactly as many of them, so every seeded stream in
+//! the workspace stays draw for draw what it was. `gen_range`'s rejection
+//! test is the one place this is subtle; `uniform_u64_to` documents why
+//! its division-free fast accept is exact, and its tests replay scripted
+//! raw draws at the edges of the rejection zone against the original
+//! two-division loop.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -131,17 +140,24 @@ pub trait SampleUniform: Copy + PartialOrd {
 
 /// Draw a `u64` uniformly from `[0, span]` by rejection sampling
 /// (unbiased; expected retries < 1 for any span).
+///
+/// A raw draw `v` is rejected iff it lies in the top `2^64 mod n` values
+/// (`n = span + 1`), above the largest multiple of `n`, so `v % n` is
+/// exact. That zone is narrower than `n`, so every `v <= u64::MAX - span`
+/// lies below it: the fast accept never takes a draw the exact test would
+/// reject, and only the ~`n / 2^64` draws above it pay the division that
+/// sizes the zone. Results and draw counts are those of the exact test
+/// alone.
 #[inline]
 fn uniform_u64_to<R: Rng + ?Sized>(rng: &mut R, span: u64) -> u64 {
     if span == u64::MAX {
         return rng.next_u64();
     }
     let n = span + 1;
-    // Reject raw draws above the largest multiple of n, so `% n` is exact.
-    let rem = (u64::MAX % n + 1) % n; // 2^64 mod n
     loop {
         let v = rng.next_u64();
-        if rem == 0 || v < u64::MAX - rem + 1 {
+        // `n.wrapping_neg() % n` is `(2^64 - n) mod n = 2^64 mod n`.
+        if v <= u64::MAX - span || v <= u64::MAX - n.wrapping_neg() % n {
             return v % n;
         }
     }
@@ -357,6 +373,98 @@ mod tests {
         assert!((19_000..21_000).contains(&hits), "{hits}");
         assert_eq!((0..100).filter(|_| r.gen_bool(0.0)).count(), 0);
         assert_eq!((0..100).filter(|_| r.gen_bool(1.0)).count(), 100);
+    }
+
+    /// Replays queued raw values and counts how many were drawn.
+    struct Scripted {
+        queue: std::collections::VecDeque<u64>,
+        drawn: usize,
+    }
+
+    impl Scripted {
+        fn new(values: &[u64]) -> Self {
+            Scripted {
+                queue: values.iter().copied().collect(),
+                drawn: 0,
+            }
+        }
+    }
+
+    impl Rng for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            self.drawn += 1;
+            self.queue.pop_front().expect("script has a value left")
+        }
+    }
+
+    /// The two-division rejection loop `uniform_u64_to` replaced.
+    fn uniform_u64_to_oracle<R: Rng + ?Sized>(rng: &mut R, span: u64) -> u64 {
+        if span == u64::MAX {
+            return rng.next_u64();
+        }
+        let n = span + 1;
+        let rem = (u64::MAX % n + 1) % n; // 2^64 mod n
+        loop {
+            let v = rng.next_u64();
+            if rem == 0 || v < u64::MAX - rem + 1 {
+                return v % n;
+            }
+        }
+    }
+
+    #[test]
+    fn fast_accept_matches_exact_rejection_at_zone_edges() {
+        let spans = [
+            0,
+            1,
+            2,
+            63,
+            1 << 32,
+            (1 << 63) - 1,
+            1 << 63,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for span in spans {
+            let n = span.wrapping_add(1);
+            let rem = if n == 0 { 0 } else { (u64::MAX % n + 1) % n };
+            let fast = u64::MAX - span;
+            let mut firsts = vec![0, 1, fast, fast.saturating_add(1), u64::MAX - 1, u64::MAX];
+            if rem > 0 {
+                // Inside the true rejection zone: its lower edge and middle.
+                let zone = u64::MAX - rem + 1;
+                firsts.extend([zone - 1, zone, zone + (rem - 1) / 2]);
+            }
+            for first in firsts {
+                // A rejected draw falls through to the next scripted one.
+                let script = [first, u64::MAX, 7, 0];
+                let (mut a, mut b) = (Scripted::new(&script), Scripted::new(&script));
+                let got = uniform_u64_to(&mut a, span);
+                let want = uniform_u64_to_oracle(&mut b, span);
+                assert_eq!(got, want, "span {span:#x}, first draw {first:#x}");
+                assert_eq!(a.drawn, b.drawn, "span {span:#x}, first draw {first:#x}");
+                assert!(got <= span);
+            }
+        }
+    }
+
+    crate::propcheck! {
+        /// Any span, with draws crowded toward the top of the range where
+        /// the fast accept and the rejection zone meet.
+        fn fast_accept_matches_exact_rejection(
+            span_bits in crate::propcheck::any_u64(),
+            span_shift in 0u32..=63,
+            below_top in crate::propcheck::any_u64(),
+            top_shift in 0u32..=63,
+            second in crate::propcheck::any_u64(),
+        ) {
+            let span = span_bits >> span_shift;
+            // A trailing 0 is always accepted, so the script never runs dry.
+            let script = [u64::MAX - (below_top >> top_shift), second, 0];
+            let (mut a, mut b) = (Scripted::new(&script), Scripted::new(&script));
+            crate::prop_assert_eq!(uniform_u64_to(&mut a, span), uniform_u64_to_oracle(&mut b, span));
+            crate::prop_assert_eq!(a.drawn, b.drawn);
+        }
     }
 
     #[test]
