@@ -1,33 +1,14 @@
 //! `tetris-experiments` — regenerate the paper's tables and figures.
 //!
-//! ```text
-//! tetris-experiments [TARGETS...] [--quick] [--instructions N] [--ranks R] [--json FILE]
-//!                    [--csv DIR] [--trace OUT.jsonl] [--trace-level coarse|fine]
-//!
-//! TARGETS: all (default) | fig1 | fig3 | fig4 | table1 | table2 | table3 |
-//!          fig10 | fig11 | fig12 | fig13 | fig14 | energy | ablation
-//!
-//! tetris-experiments run --scheme TAG [--workload W] [--quick] [--instructions N]
-//!                    [--ranks R] [--write-cache FRAMES] [--policy lru|clock|2q]
-//!                    [--trace OUT.jsonl] [--trace-level coarse|fine] [--json FILE]
-//! tetris-experiments run --list-schemes
-//! tetris-experiments trace WORKLOAD OUT.jsonl [--instructions N]
-//! tetris-experiments replay TRACE.jsonl SCHEME
-//! tetris-experiments report TRACE.jsonl [--csv DIR]
-//! tetris-experiments sched-ablation [--quick] [--workload W] [--instructions N]
-//!                    [--ranks R] [--trace-dir DIR] [--csv DIR] [--assert]
-//! tetris-experiments cache-sweep [--quick] [--workload W]... [--frames LIST]
-//!                    [--policy TAG]... [--instructions N] [--trace-dir DIR] [--csv DIR]
-//! tetris-experiments bench-compare BASE.json FRESH.json [--tolerance PCT] [--k N]
-//!                    [--md OUT.md] [--json OUT.json]
-//! ```
+//! `tetris-experiments --help` prints the synopsis of the figure mode and
+//! of every subcommand.
 //!
 //! `run` simulates one (workload, scheme) cell and prints a one-line
 //! summary — the CI `scheme-matrix` job runs every registered scheme tag
 //! through it (`--list-schemes` prints the tags, one per line).
-//! `--trace` records a telemetry trace of one run (vips × Tetris, the
-//! paper's write-heaviest pairing) to a JSONL file; `report` renders such
-//! a file into per-bank utilization and queue-depth percentile tables.
+//! `run --trace` records a telemetry trace of that run to a JSONL file;
+//! `report` renders such a file into per-bank utilization and
+//! queue-depth percentile tables.
 //! `run --write-cache FRAMES --policy TAG` puts the DRAM write-cache tier
 //! in front of the controller; `cache-sweep` tables the tier's hit rate,
 //! coalesce ratio and drain behaviour per (frame budget × policy ×
@@ -58,11 +39,159 @@ macro_rules! outln {
 
 use pcm_schemes::SchemeConfig;
 use pcm_types::{LineDemand, PowerParams, UnitDemand};
-use pcm_workloads::ALL_PROFILES;
+use pcm_workloads::{WorkloadProfile, ALL_PROFILES};
 use tetris_experiments::figures::{self, MatrixView};
 use tetris_experiments::report::Table;
 use tetris_experiments::{ablation, run_matrix, RunConfig, SchemeKind};
 use tetris_write::{analyze, render_gantt, TetrisConfig};
+
+const USAGE: &str = "\
+usage: tetris-experiments [all|fig1|fig3|fig4|fig10|fig11|fig12|fig13|fig14|table1|table2|table3|energy|ablation]... [--quick] [--instructions N] [--ranks R] [--json FILE] [--csv DIR]
+       tetris-experiments run --scheme TAG [--workload W] [--quick] [--instructions N] [--ranks R] [--write-cache FRAMES] [--policy lru|clock|2q] [--trace OUT.jsonl] [--trace-level coarse|fine] [--json FILE]
+       tetris-experiments run --list-schemes
+       tetris-experiments trace WORKLOAD OUT.jsonl [--instructions N]
+       tetris-experiments replay TRACE.jsonl SCHEME
+       tetris-experiments report TRACE.jsonl [--csv DIR]
+       tetris-experiments sched-ablation [--quick] [--workload W] [--instructions N] [--ranks R] [--trace-dir DIR] [--csv DIR] [--assert]
+       tetris-experiments cache-sweep [--quick] [--workload W]... [--frames LIST] [--policy TAG]... [--instructions N] [--trace-dir DIR] [--csv DIR]
+       tetris-experiments bench-compare BASE.json FRESH.json [--tolerance PCT] [--k N] [--md OUT.md] [--json OUT.json]";
+
+const TARGETS: [&str; 14] = [
+    "all", "fig1", "fig3", "fig4", "fig10", "fig11", "fig12", "fig13", "fig14", "table1", "table2",
+    "table3", "energy", "ablation",
+];
+
+/// Cursor over one mode's arguments: flags, their values and positionals,
+/// in any order. `-h`/`--help` anywhere prints the usage and exits 0.
+struct Args {
+    cmd: &'static str,
+    rest: std::vec::IntoIter<String>,
+    /// The last flag `next` returned; value errors name it.
+    flag: String,
+}
+
+impl Args {
+    fn new(cmd: &'static str, args: Vec<String>) -> Self {
+        Args {
+            cmd,
+            rest: args.into_iter(),
+            flag: String::new(),
+        }
+    }
+
+    /// The next flag or positional argument.
+    fn next(&mut self) -> Option<String> {
+        let arg = self.rest.next()?;
+        if arg == "-h" || arg == "--help" {
+            outln!("{USAGE}");
+            std::process::exit(0);
+        }
+        if arg.starts_with('-') {
+            self.flag.clone_from(&arg);
+        }
+        Some(arg)
+    }
+
+    /// The current flag's value, or a usage error saying it needs `what`.
+    fn value(&mut self, what: &str) -> String {
+        self.parse_with(what, |v| Some(v.to_string()))
+    }
+
+    /// The current flag's value parsed as `T`.
+    fn parse<T: std::str::FromStr>(&mut self, what: &str) -> T {
+        self.parse_with(what, |v| v.parse().ok())
+    }
+
+    /// The current flag's value run through `parse`; a missing value or a
+    /// `None` is a usage error naming the flag and `what` it needs.
+    fn parse_with<T>(&mut self, what: &str, parse: impl FnOnce(&str) -> Option<T>) -> T {
+        let flag = &self.flag;
+        self.rest
+            .next()
+            .and_then(|v| parse(&v))
+            .unwrap_or_else(|| usage_error(&format!("{flag} needs {what}")))
+    }
+
+    /// Reject an argument this mode does not take.
+    fn reject(&self, arg: &str) -> ! {
+        usage_error(&format!("unknown {} argument '{arg}'", self.cmd))
+    }
+
+    /// Exactly `N` positionals, or a usage error listing `names`.
+    fn exact<const N: usize>(&self, pos: Vec<String>, names: &str) -> [String; N] {
+        pos.try_into()
+            .unwrap_or_else(|_| usage_error(&format!("{} needs {names}", self.cmd)))
+    }
+}
+
+/// The flags every simulating mode shares, folded into one `RunConfig`.
+#[derive(Default)]
+struct RunArgs {
+    quick: bool,
+    instructions: Option<u64>,
+    ranks: Option<u32>,
+}
+
+impl RunArgs {
+    /// Take `flag` (and its value) if it is a shared run flag.
+    fn take(&mut self, flag: &str, args: &mut Args) -> bool {
+        match flag {
+            "--quick" => self.quick = true,
+            "--instructions" => self.instructions = Some(args.parse("a number")),
+            "--ranks" => {
+                self.ranks = Some(args.parse_with("a power-of-two number", |v| {
+                    v.parse().ok().filter(|r: &u32| r.is_power_of_two())
+                }))
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    fn config(&self) -> RunConfig {
+        let mut builder = RunConfig::builder();
+        if self.quick {
+            builder = builder.quick();
+        }
+        if let Some(n) = self.instructions {
+            builder = builder.instructions_per_core(n);
+        }
+        if let Some(r) = self.ranks {
+            builder = builder.ranks(r);
+        }
+        builder
+            .build()
+            .unwrap_or_else(|e| usage_error(&e.to_string()))
+    }
+}
+
+/// Look up a workload profile, exiting 1 on an unknown name.
+fn profile_named(name: &str) -> &'static WorkloadProfile {
+    WorkloadProfile::by_name(name).unwrap_or_else(|| {
+        eprintln!("unknown workload {name}");
+        std::process::exit(1);
+    })
+}
+
+/// Look up a scheme, exiting 1 with the registered tags on an unknown one.
+fn scheme_named(tag: &str) -> SchemeKind {
+    SchemeKind::parse(tag).unwrap_or_else(|| {
+        let tags: Vec<&str> = pcm_schemes::SchemeSelect::ALL
+            .iter()
+            .map(|s| s.tag())
+            .collect();
+        eprintln!("unknown scheme {tag}; try {}", tags.join("/"));
+        std::process::exit(1);
+    })
+}
+
+/// Write `contents` to `path`, exiting 1 with the path on failure.
+fn write_file(path: &str, contents: impl AsRef<[u8]>) {
+    std::fs::write(path, contents).unwrap_or_else(|e| {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    });
+}
 
 fn print_fig4_gantt() {
     // The paper's worked example: budget 32 per chip, write-1 loads
@@ -92,28 +221,37 @@ fn print_fig4_gantt() {
 fn emit(t: &Table, csv_dir: &Option<String>) {
     outln!("{t}");
     if let Some(dir) = csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
-        let path = format!("{dir}/{}.csv", t.slug());
-        std::fs::write(&path, t.to_csv()).expect("write csv");
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("cannot create {dir}: {e}");
+            std::process::exit(1);
+        }
+        write_file(&format!("{dir}/{}.csv", t.slug()), t.to_csv());
     }
 }
 
 /// `trace WORKLOAD OUT.jsonl`: record a synthetic trace to disk.
-fn cmd_trace(workload: &str, out: &str, instructions: u64) {
+fn cmd_trace(mut args: Args) {
     use pcm_memsim::VecTrace;
     use pcm_workloads::generator::{GeneratorConfig, SyntheticParsec};
     use pcm_workloads::trace::write_trace;
-    let p = pcm_workloads::WorkloadProfile::by_name(workload).unwrap_or_else(|| {
-        eprintln!("unknown workload {workload}");
-        std::process::exit(1);
-    });
+    let mut instructions = 1_000_000;
+    let mut pos = Vec::new();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--instructions" => instructions = args.parse("a number"),
+            f if f.starts_with('-') => args.reject(f),
+            _ => pos.push(arg),
+        }
+    }
+    let [workload, out] = args.exact(pos, "WORKLOAD and OUT.jsonl");
+    let p = profile_named(&workload);
     let cfg = GeneratorConfig {
         instructions_per_core: instructions,
         ..Default::default()
     };
     let mut gen = SyntheticParsec::new(p, cfg);
     let trace = VecTrace::capture(&mut gen, cfg.cores);
-    let mut file = std::io::BufWriter::new(std::fs::File::create(out).unwrap_or_else(|e| {
+    let mut file = std::io::BufWriter::new(std::fs::File::create(&out).unwrap_or_else(|e| {
         eprintln!("cannot create {out}: {e}");
         std::process::exit(1);
     }));
@@ -122,138 +260,46 @@ fn cmd_trace(workload: &str, out: &str, instructions: u64) {
     eprintln!("wrote {ops} ops for {} cores to {out}", trace.ops().len());
 }
 
-/// Canonical scheme tags, slash-joined for error hints — derived from the
-/// registry so a newly registered scheme shows up here for free.
-fn scheme_tag_hint() -> String {
-    pcm_schemes::SchemeSelect::ALL
-        .iter()
-        .map(|s| s.tag())
-        .collect::<Vec<_>>()
-        .join("/")
-}
-
 /// `run --scheme TAG`: simulate one (workload, scheme) cell and print a
 /// one-line summary. This is the CI scheme-matrix entry point: one
 /// invocation per registered tag, optionally recording a telemetry trace
 /// for `report` to render.
-fn cmd_run(args: &[String]) {
+fn cmd_run(mut args: Args) {
+    let mut run = RunArgs::default();
     let mut scheme: Option<String> = None;
     let mut workload = "vips".to_string();
-    let mut quick = false;
-    let mut instructions: Option<u64> = None;
-    let mut ranks: Option<u32> = None;
     let mut trace_path: Option<String> = None;
     let mut trace_level = pcm_telemetry::TraceDetail::Fine;
     let mut json_path: Option<String> = None;
     let mut write_cache: Option<usize> = None;
     let mut policy = pcm_memsim::PolicySelect::Lru;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--list-schemes" => {
                 for s in pcm_schemes::SchemeSelect::ALL {
                     outln!("{}", s.tag());
                 }
                 return;
             }
-            "--quick" => quick = true,
-            "--scheme" => {
-                i += 1;
-                scheme = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage_error("--scheme needs a tag"))
-                        .clone(),
-                );
-            }
-            "--workload" => {
-                i += 1;
-                workload = args
-                    .get(i)
-                    .unwrap_or_else(|| usage_error("--workload needs a name"))
-                    .clone();
-            }
-            "--instructions" => {
-                i += 1;
-                instructions = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage_error("--instructions needs a number")),
-                );
-            }
-            "--ranks" => {
-                i += 1;
-                ranks = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .filter(|r: &u32| r.is_power_of_two())
-                        .unwrap_or_else(|| usage_error("--ranks needs a power-of-two number")),
-                );
-            }
-            "--trace" => {
-                i += 1;
-                trace_path = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage_error("--trace needs a path"))
-                        .clone(),
-                );
-            }
+            "--scheme" => scheme = Some(args.value("a tag")),
+            "--workload" => workload = args.value("a name"),
+            "--trace" => trace_path = Some(args.value("a path")),
             "--trace-level" => {
-                i += 1;
-                trace_level = args
-                    .get(i)
-                    .and_then(|v| pcm_telemetry::TraceDetail::parse(v))
-                    .unwrap_or_else(|| usage_error("--trace-level needs 'coarse' or 'fine'"));
+                trace_level =
+                    args.parse_with("'coarse' or 'fine'", pcm_telemetry::TraceDetail::parse)
             }
-            "--json" => {
-                i += 1;
-                json_path = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage_error("--json needs a path"))
-                        .clone(),
-                );
-            }
-            "--write-cache" => {
-                i += 1;
-                write_cache = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage_error("--write-cache needs a frame count")),
-                );
-            }
-            "--policy" => {
-                i += 1;
-                policy = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage_error("--policy needs lru, clock or 2q"));
-            }
-            other => usage_error(&format!("unknown run flag '{other}'")),
+            "--json" => json_path = Some(args.value("a path")),
+            "--write-cache" => write_cache = Some(args.parse("a frame count")),
+            "--policy" => policy = args.parse("lru, clock or 2q"),
+            f if run.take(f, &mut args) => {}
+            _ => args.reject(&arg),
         }
-        i += 1;
     }
     let scheme =
         scheme.unwrap_or_else(|| usage_error("run needs --scheme TAG (or --list-schemes)"));
-    let kind = SchemeKind::parse(&scheme).unwrap_or_else(|| {
-        eprintln!("unknown scheme {scheme}; try {}", scheme_tag_hint());
-        std::process::exit(1);
-    });
-    let profile = pcm_workloads::WorkloadProfile::by_name(&workload).unwrap_or_else(|| {
-        eprintln!("unknown workload {workload}");
-        std::process::exit(1);
-    });
-    let mut builder = RunConfig::builder();
-    if quick {
-        builder = builder.quick();
-    }
-    if let Some(n) = instructions {
-        builder = builder.instructions_per_core(n);
-    }
-    if let Some(r) = ranks {
-        builder = builder.ranks(r);
-    }
-    let mut cfg = builder
-        .build()
-        .unwrap_or_else(|e| usage_error(&e.to_string()));
+    let kind = scheme_named(&scheme);
+    let profile = profile_named(&workload);
+    let mut cfg = run.config();
     if let Some(frames) = write_cache {
         cfg.system.write_cache = if frames == 0 {
             pcm_memsim::WriteCacheConfig::disabled()
@@ -310,11 +356,10 @@ fn cmd_run(args: &[String]) {
         r.cell_resets
     );
     if let Some(path) = &json_path {
-        let json = tetris_experiments::report::results_to_json(std::slice::from_ref(&r));
-        std::fs::write(path, json).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        write_file(
+            path,
+            tetris_experiments::report::results_to_json(std::slice::from_ref(&r)),
+        );
         eprintln!("wrote {path}");
     }
 }
@@ -322,103 +367,51 @@ fn cmd_run(args: &[String]) {
 /// `cache-sweep`: table the DRAM write-cache tier per (frame budget ×
 /// replacement policy × workload) cell — the CI `cache-sweep` job runs
 /// the quick 3-policy × 2-workload matrix through this.
-fn cmd_cache_sweep(args: &[String]) {
+fn cmd_cache_sweep(mut args: Args) {
     use pcm_memsim::PolicySelect;
-    let mut quick = false;
-    let mut instructions: Option<u64> = None;
+    let mut run = RunArgs::default();
     let mut workloads: Vec<String> = Vec::new();
     let mut frames: Vec<usize> = Vec::new();
     let mut policies: Vec<PolicySelect> = Vec::new();
     let mut trace_dir = "target/cache-sweep".to_string();
     let mut csv_dir: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--instructions" => {
-                i += 1;
-                instructions = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage_error("--instructions needs a number")),
-                );
-            }
-            "--workload" => {
-                i += 1;
-                workloads.push(
-                    args.get(i)
-                        .unwrap_or_else(|| usage_error("--workload needs a name"))
-                        .clone(),
-                );
-            }
-            "--frames" => {
-                i += 1;
-                let list = args
-                    .get(i)
-                    .unwrap_or_else(|| usage_error("--frames needs a comma-separated list"));
-                for part in list.split(',') {
-                    frames.push(
-                        part.trim()
-                            .parse()
-                            .unwrap_or_else(|_| usage_error("--frames entries must be numbers")),
-                    );
-                }
-            }
-            "--policy" => {
-                i += 1;
-                policies.push(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage_error("--policy needs lru, clock or 2q")),
-                );
-            }
-            "--trace-dir" => {
-                i += 1;
-                trace_dir = args
-                    .get(i)
-                    .unwrap_or_else(|| usage_error("--trace-dir needs a directory"))
-                    .clone();
-            }
-            "--csv" => {
-                i += 1;
-                csv_dir = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage_error("--csv needs a directory"))
-                        .clone(),
-                );
-            }
-            other => usage_error(&format!("unknown cache-sweep flag '{other}'")),
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--workload" => workloads.push(args.value("a name")),
+            // The `off` baseline row is always swept, so a 0 budget is
+            // never a cell of its own.
+            "--frames" => frames.extend(args.parse_with(
+                "a comma-separated list of positive numbers",
+                |v| {
+                    v.split(',')
+                        .map(|f| f.trim().parse().ok().filter(|&f: &usize| f > 0))
+                        .collect::<Option<Vec<usize>>>()
+                },
+            )),
+            "--policy" => policies.push(args.parse("lru, clock or 2q")),
+            "--trace-dir" => trace_dir = args.value("a directory"),
+            "--csv" => csv_dir = Some(args.value("a directory")),
+            // A shared run flag that cache-sweep does not take.
+            "--ranks" => args.reject(&arg),
+            f if run.take(f, &mut args) => {}
+            _ => args.reject(&arg),
         }
-        i += 1;
     }
     if workloads.is_empty() {
         workloads = vec!["vips".to_string(), "ferret".to_string()];
     }
     if frames.is_empty() {
-        frames = if quick { vec![64] } else { vec![64, 256, 1024] };
+        frames = if run.quick {
+            vec![64]
+        } else {
+            vec![64, 256, 1024]
+        };
     }
     if policies.is_empty() {
         policies = PolicySelect::ALL.to_vec();
     }
-    let profiles: Vec<pcm_workloads::WorkloadProfile> = workloads
-        .iter()
-        .map(|w| {
-            *pcm_workloads::WorkloadProfile::by_name(w).unwrap_or_else(|| {
-                eprintln!("unknown workload {w}");
-                std::process::exit(1);
-            })
-        })
-        .collect();
-    let mut builder = RunConfig::builder();
-    if quick {
-        builder = builder.quick();
-    }
-    if let Some(n) = instructions {
-        builder = builder.instructions_per_core(n);
-    }
-    let cfg = builder
-        .build()
-        .unwrap_or_else(|e| usage_error(&e.to_string()));
+    let profiles: Vec<WorkloadProfile> = workloads.iter().map(|w| *profile_named(w)).collect();
+    let cfg = run.config();
     eprintln!(
         "cache-sweep: {} workload(s) × {} frame budget(s) × {} policy(ies), {} instructions/core…",
         profiles.len(),
@@ -442,15 +435,20 @@ fn cmd_cache_sweep(args: &[String]) {
 }
 
 /// `replay TRACE.jsonl SCHEME`: run a recorded trace through the system.
-fn cmd_replay(path: &str, scheme: &str) {
+fn cmd_replay(mut args: Args) {
     use pcm_memsim::cpu::VecTrace;
     use pcm_memsim::{System, SystemConfig, UniformRandomContent};
     use pcm_workloads::trace::read_trace;
-    let kind = SchemeKind::parse(scheme).unwrap_or_else(|| {
-        eprintln!("unknown scheme {scheme}; try {}", scheme_tag_hint());
-        std::process::exit(1);
-    });
-    let file = std::io::BufReader::new(std::fs::File::open(path).unwrap_or_else(|e| {
+    let mut pos = Vec::new();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            f if f.starts_with('-') => args.reject(f),
+            _ => pos.push(arg),
+        }
+    }
+    let [path, scheme] = args.exact(pos, "TRACE.jsonl and SCHEME");
+    let kind = scheme_named(&scheme);
+    let file = std::io::BufReader::new(std::fs::File::open(&path).unwrap_or_else(|e| {
         eprintln!("cannot open trace {path}: {e}");
         std::process::exit(1);
     }));
@@ -465,11 +463,19 @@ fn cmd_replay(path: &str, scheme: &str) {
     let mut cfg = SystemConfig::paper_baseline();
     cfg.cores = trace.len();
     cfg.mem.select = kind.select();
+    let capacity = cfg.mem.org.capacity_bytes;
+    if let Some(op) = trace.iter().flatten().find(|op| op.addr >= capacity) {
+        eprintln!(
+            "trace {path}: address {} is beyond the {capacity}-byte memory",
+            op.addr
+        );
+        std::process::exit(1);
+    }
     let mut sys = System::build(cfg)
         .expect("valid config")
         .with_trace(Box::new(VecTrace::new(trace)))
         .with_content(Box::new(UniformRandomContent::new(7)));
-    sys.set_workload_name(path);
+    sys.set_workload_name(&path);
     let r = sys.run();
     outln!(
         "{}: runtime {:.1} µs, IPC {:.3}, read {:.1} ns, write {:.1} ns, {} reads / {} writes",
@@ -486,9 +492,20 @@ fn cmd_replay(path: &str, scheme: &str) {
 /// `report TRACE.jsonl`: summarize a recorded telemetry trace. Ranked
 /// (tagged) traces additionally render a per-rank rollup and per-rank
 /// tables; plain single-rank traces render exactly as before.
-fn cmd_report(path: &str, csv_dir: &Option<String>) {
+fn cmd_report(mut args: Args) {
     use pcm_telemetry::{read_tagged_events, TraceSummary};
-    let file = std::io::BufReader::new(std::fs::File::open(path).unwrap_or_else(|e| {
+    let mut csv_dir: Option<String> = None;
+    let mut pos = Vec::new();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--csv" => csv_dir = Some(args.value("a directory")),
+            f if f.starts_with('-') => args.reject(f),
+            _ => pos.push(arg),
+        }
+    }
+    let [path] = args.exact(pos, "TRACE.jsonl");
+    let csv_dir = &csv_dir;
+    let file = std::io::BufReader::new(std::fs::File::open(&path).unwrap_or_else(|e| {
         eprintln!("cannot open trace {path}: {e}");
         std::process::exit(1);
     }));
@@ -537,108 +554,25 @@ fn cmd_report(path: &str, csv_dir: &Option<String>) {
     }
 }
 
-/// `--trace OUT.jsonl`: run vips × Tetris once, streaming rank-tagged
-/// JSONL telemetry through the async background writer.
-fn run_traced(out: &str, level: pcm_telemetry::TraceDetail, cfg: &RunConfig) {
-    let vips = pcm_workloads::WorkloadProfile::by_name("vips").expect("vips profile exists");
-    let ranks = cfg.system.mem.org.ranks;
-    eprintln!(
-        "tracing vips × Tetris ({} instructions/core, {ranks} rank(s), {:?} detail) to {out}…",
-        cfg.instructions_per_core, level
-    );
-    let (r, written) = tetris_experiments::run_one_to_file(
-        vips,
-        SchemeKind::Tetris,
-        cfg,
-        std::path::Path::new(out),
-        level,
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("cannot trace to {out}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!(
-        "traced run done: runtime {:.1} µs, {} reads / {} writes, {written} events — render with `tetris-experiments report {out}`",
-        r.runtime.as_ns_f64() / 1000.0,
-        r.mem_reads,
-        r.mem_writes
-    );
-}
-
 /// `sched-ablation`: fixed vs adaptive scheduling head-to-head.
-fn cmd_sched_ablation(args: &[String]) {
+fn cmd_sched_ablation(mut args: Args) {
+    let mut run = RunArgs::default();
     let mut workload = "vips".to_string();
-    let mut quick = false;
-    let mut instructions: Option<u64> = None;
-    let mut ranks: Option<u32> = None;
     let mut trace_dir = "sched-traces".to_string();
     let mut csv_dir: Option<String> = None;
     let mut assert_no_regression = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--assert" => assert_no_regression = true,
-            "--ranks" => {
-                i += 1;
-                ranks = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .filter(|r: &u32| r.is_power_of_two())
-                        .unwrap_or_else(|| usage_error("--ranks needs a power-of-two number")),
-                );
-            }
-            "--workload" => {
-                i += 1;
-                workload = args
-                    .get(i)
-                    .unwrap_or_else(|| usage_error("--workload needs a name"))
-                    .clone();
-            }
-            "--instructions" => {
-                i += 1;
-                instructions = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage_error("--instructions needs a number")),
-                );
-            }
-            "--trace-dir" => {
-                i += 1;
-                trace_dir = args
-                    .get(i)
-                    .unwrap_or_else(|| usage_error("--trace-dir needs a directory"))
-                    .clone();
-            }
-            "--csv" => {
-                i += 1;
-                csv_dir = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage_error("--csv needs a directory"))
-                        .clone(),
-                );
-            }
-            other => usage_error(&format!("unknown sched-ablation flag '{other}'")),
+            "--workload" => workload = args.value("a name"),
+            "--trace-dir" => trace_dir = args.value("a directory"),
+            "--csv" => csv_dir = Some(args.value("a directory")),
+            f if run.take(f, &mut args) => {}
+            _ => args.reject(&arg),
         }
-        i += 1;
     }
-    let profile = pcm_workloads::WorkloadProfile::by_name(&workload).unwrap_or_else(|| {
-        eprintln!("unknown workload {workload}");
-        std::process::exit(1);
-    });
-    let mut builder = RunConfig::builder();
-    if quick {
-        builder = builder.quick();
-    }
-    if let Some(n) = instructions {
-        builder = builder.instructions_per_core(n);
-    }
-    if let Some(r) = ranks {
-        builder = builder.ranks(r);
-    }
-    let cfg = builder
-        .build()
-        .unwrap_or_else(|e| usage_error(&e.to_string()));
+    let profile = profile_named(&workload);
+    let cfg = run.config();
     eprintln!(
         "sched-ablation: {} × Tetris, {} instructions/core, {} rank(s), fixed vs adaptive…",
         profile.name, cfg.instructions_per_core, cfg.system.mem.org.ranks
@@ -678,59 +612,26 @@ fn cmd_sched_ablation(args: &[String]) {
 }
 
 /// `bench-compare BASE.json FRESH.json`: diff two perf snapshots and gate.
-fn cmd_bench_compare(args: &[String]) {
+fn cmd_bench_compare(mut args: Args) {
     use pcm_types::perf::{BenchSnapshot, GatePolicy};
     use pcm_types::JsonCodec;
 
-    let mut paths: Vec<&String> = Vec::new();
+    let non_negative = |v: &str| v.parse().ok().filter(|x: &f64| x.is_finite() && *x >= 0.0);
+    let mut pos = Vec::new();
     let mut policy = GatePolicy::default();
     let mut md_out: Option<String> = None;
     let mut json_out: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tolerance" => {
-                i += 1;
-                policy.tolerance_pct = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|t: &f64| t.is_finite() && *t >= 0.0)
-                    .unwrap_or_else(|| usage_error("--tolerance needs a percentage"));
-            }
-            "--k" => {
-                i += 1;
-                policy.k_mad = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|k: &f64| k.is_finite() && *k >= 0.0)
-                    .unwrap_or_else(|| usage_error("--k needs a multiplier"));
-            }
-            "--md" => {
-                i += 1;
-                md_out = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage_error("--md needs a path"))
-                        .clone(),
-                );
-            }
-            "--json" => {
-                i += 1;
-                json_out = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage_error("--json needs a path"))
-                        .clone(),
-                );
-            }
-            flag if flag.starts_with('-') => {
-                usage_error(&format!("unknown bench-compare flag `{flag}`"))
-            }
-            _ => paths.push(&args[i]),
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--tolerance" => policy.tolerance_pct = args.parse_with("a percentage", non_negative),
+            "--k" => policy.k_mad = args.parse_with("a multiplier", non_negative),
+            "--md" => md_out = Some(args.value("a path")),
+            "--json" => json_out = Some(args.value("a path")),
+            f if f.starts_with('-') => args.reject(f),
+            _ => pos.push(arg),
         }
-        i += 1;
     }
-    let [base_path, fresh_path] = paths[..] else {
-        usage_error("bench-compare needs BASE.json and FRESH.json");
-    };
+    let [base_path, fresh_path] = args.exact(pos, "BASE.json and FRESH.json");
     let load = |path: &str| -> BenchSnapshot {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read snapshot {path}: {e}");
@@ -746,22 +647,15 @@ fn cmd_bench_compare(args: &[String]) {
         }
         snap
     };
-    let base = load(base_path);
-    let fresh = load(fresh_path);
+    let base = load(&base_path);
+    let fresh = load(&fresh_path);
     let report = tetris_experiments::compare(&base, &fresh, policy);
     outln!("{}", report.markdown());
     if let Some(path) = md_out {
-        std::fs::write(&path, report.markdown()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        write_file(&path, report.markdown());
     }
     if let Some(path) = json_out {
-        let text = report.to_json().to_string_pretty() + "\n";
-        std::fs::write(&path, text).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        write_file(&path, report.to_json().to_string_pretty() + "\n");
     }
     if report.has_failures() {
         std::process::exit(1);
@@ -776,181 +670,45 @@ fn usage_error(msg: &str) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Subcommands with positional arguments first.
+    let sub = |cmd| Args::new(cmd, args[1..].to_vec());
     match args.first().map(String::as_str) {
-        Some("run") => {
-            cmd_run(&args);
-            return;
-        }
-        Some("trace") => {
-            let instructions = args
-                .iter()
-                .position(|a| a == "--instructions")
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1_000_000);
-            cmd_trace(
-                args.get(1)
-                    .unwrap_or_else(|| usage_error("trace needs a workload")),
-                args.get(2)
-                    .unwrap_or_else(|| usage_error("trace needs an output path")),
-                instructions,
-            );
-            return;
-        }
-        Some("replay") => {
-            cmd_replay(
-                args.get(1)
-                    .unwrap_or_else(|| usage_error("replay needs a trace path")),
-                args.get(2)
-                    .unwrap_or_else(|| usage_error("replay needs a scheme")),
-            );
-            return;
-        }
-        Some("report") => {
-            let csv_dir = args
-                .iter()
-                .position(|a| a == "--csv")
-                .and_then(|i| args.get(i + 1))
-                .cloned();
-            cmd_report(
-                args.get(1)
-                    .unwrap_or_else(|| usage_error("report needs a trace path")),
-                &csv_dir,
-            );
-            return;
-        }
-        Some("sched-ablation") => {
-            cmd_sched_ablation(&args);
-            return;
-        }
-        Some("cache-sweep") => {
-            cmd_cache_sweep(&args);
-            return;
-        }
-        Some("bench-compare") => {
-            cmd_bench_compare(&args);
-            return;
-        }
-        _ => {}
+        Some("run") => cmd_run(sub("run")),
+        Some("trace") => cmd_trace(sub("trace")),
+        Some("replay") => cmd_replay(sub("replay")),
+        Some("report") => cmd_report(sub("report")),
+        Some("sched-ablation") => cmd_sched_ablation(sub("sched-ablation")),
+        Some("cache-sweep") => cmd_cache_sweep(sub("cache-sweep")),
+        Some("bench-compare") => cmd_bench_compare(sub("bench-compare")),
+        _ => cmd_figures(Args::new("tetris-experiments", args)),
     }
+}
+
+/// The figure mode: regenerate the named tables and figures (all of them
+/// when none is named).
+fn cmd_figures(mut args: Args) {
+    let mut run = RunArgs::default();
     let mut targets: Vec<String> = Vec::new();
-    let mut quick = false;
-    let mut instructions: Option<u64> = None;
-    let mut ranks: Option<u32> = None;
     let mut json_path: Option<String> = None;
     let mut csv_dir: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut trace_level = pcm_telemetry::TraceDetail::Fine;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--instructions" => {
-                i += 1;
-                instructions = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage_error("--instructions needs a number")),
-                );
-            }
-            "--ranks" => {
-                i += 1;
-                ranks = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .filter(|r: &u32| r.is_power_of_two())
-                        .unwrap_or_else(|| usage_error("--ranks needs a power-of-two number")),
-                );
-            }
-            "--json" => {
-                i += 1;
-                json_path = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage_error("--json needs a path"))
-                        .clone(),
-                );
-            }
-            "--csv" => {
-                i += 1;
-                csv_dir = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage_error("--csv needs a directory"))
-                        .clone(),
-                );
-            }
-            "--trace" => {
-                i += 1;
-                trace_path = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage_error("--trace needs a path"))
-                        .clone(),
-                );
-            }
-            "--trace-level" => {
-                i += 1;
-                trace_level = args
-                    .get(i)
-                    .and_then(|v| pcm_telemetry::TraceDetail::parse(v))
-                    .unwrap_or_else(|| usage_error("--trace-level needs 'coarse' or 'fine'"));
-            }
-            "--help" | "-h" => {
-                outln!(
-                    "usage: tetris-experiments [all|fig1|fig3|fig4|fig10|fig11|fig12|fig13|fig14|table1|table2|table3|energy|ablation]... [--quick] [--instructions N] [--ranks R] [--json FILE] [--csv DIR] [--trace OUT.jsonl] [--trace-level coarse|fine]"
-                );
-                outln!("       tetris-experiments run --scheme TAG [--workload W] [--quick] [--instructions N] [--ranks R] [--write-cache FRAMES] [--policy lru|clock|2q] [--trace OUT.jsonl] [--trace-level coarse|fine] [--json FILE]");
-                outln!("       tetris-experiments run --list-schemes");
-                outln!("       tetris-experiments trace WORKLOAD OUT.jsonl [--instructions N]");
-                outln!("       tetris-experiments replay TRACE.jsonl SCHEME");
-                outln!("       tetris-experiments report TRACE.jsonl [--csv DIR]");
-                outln!("       tetris-experiments sched-ablation [--quick] [--workload W] [--instructions N] [--ranks R] [--trace-dir DIR] [--csv DIR] [--assert]");
-                outln!("       tetris-experiments cache-sweep [--quick] [--workload W]... [--frames LIST] [--policy TAG]... [--instructions N] [--trace-dir DIR] [--csv DIR]");
-                return;
-            }
-            t => targets.push(t.to_string()),
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--json" => json_path = Some(args.value("a path")),
+            "--csv" => csv_dir = Some(args.value("a directory")),
+            f if run.take(f, &mut args) => {}
+            f if f.starts_with('-') => args.reject(f),
+            t if !TARGETS.contains(&t) => usage_error(&format!("unknown target '{t}'")),
+            _ => targets.push(arg),
         }
-        i += 1;
     }
-    let explicit_targets = !targets.is_empty();
     if targets.is_empty() {
         targets.push("all".to_string());
-    }
-    const KNOWN: [&str; 15] = [
-        "all", "fig1", "fig3", "fig4", "fig10", "fig11", "fig12", "fig13", "fig14", "table1",
-        "table2", "table3", "energy", "ablation", "gantt",
-    ];
-    for t in &targets {
-        if !KNOWN.contains(&t.as_str()) {
-            usage_error(&format!("unknown target '{t}'"));
-        }
     }
     let all = targets.iter().any(|t| t == "all");
     let want = |t: &str| all || targets.iter().any(|x| x == t);
 
-    let mut builder = RunConfig::builder();
-    if quick {
-        builder = builder.quick();
-    }
-    if let Some(n) = instructions {
-        builder = builder.instructions_per_core(n);
-    }
-    if let Some(r) = ranks {
-        builder = builder.ranks(r);
-    }
-    let cfg = builder
-        .build()
-        .unwrap_or_else(|e| usage_error(&e.to_string()));
-
-    // A traced run is its own artifact: record it first, and unless the
-    // user also asked for figures/tables explicitly, stop there.
-    if let Some(out) = &trace_path {
-        run_traced(out, trace_level, &cfg);
-        if !explicit_targets {
-            return;
-        }
-    }
+    let cfg = run.config();
     let scheme_cfg = SchemeConfig::paper_baseline();
-    let sample_writes = if quick { 500 } else { 3_000 };
+    let sample_writes = if run.quick { 500 } else { 3_000 };
 
     // Static artifacts first (no simulation needed).
     if want("fig1") {
@@ -1010,8 +768,7 @@ fn main() {
             );
         }
         if let Some(path) = &json_path {
-            let json = tetris_experiments::report::results_to_json(&results);
-            std::fs::write(path, json).expect("write results JSON");
+            write_file(path, tetris_experiments::report::results_to_json(&results));
             eprintln!("wrote {path}");
         }
     }

@@ -439,6 +439,42 @@ fn real_tree_feeds_the_graph_rules() {
     );
 }
 
+/// `ci-phase-parity` finds subcommands through the `Some("…") =>` arms of
+/// the binary's dispatch; a refactor that hid them would pass the rule
+/// vacuously. Pin that the real tree still yields every subcommand.
+#[test]
+fn real_tree_feeds_ci_phase_parity() {
+    let root = pcm_lint::workspace::find_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
+        .expect("workspace root");
+    let mut w = pcm_lint::workspace::load(&root).expect("load workspace");
+    let bin = w
+        .file("crates/experiments/src/bin/tetris-experiments.rs")
+        .expect("tetris-experiments.rs");
+    let arms: Vec<&str> = bin
+        .facts
+        .subcommand_arms
+        .iter()
+        .map(|arm| arm.text.as_str())
+        .collect();
+    let subcommands = [
+        "run",
+        "trace",
+        "replay",
+        "report",
+        "sched-ablation",
+        "cache-sweep",
+        "bench-compare",
+    ];
+    assert_eq!(arms, subcommands);
+    // Against a workflow that runs nothing, the rule flags each of them.
+    w.ci_yml = Some(String::new());
+    let diags = rule("ci-phase-parity").check(&w);
+    assert_eq!(diags.len(), subcommands.len());
+    for (d, name) in diags.iter().zip(subcommands) {
+        assert!(d.msg.contains(&format!("`{name}`")), "{}", d.msg);
+    }
+}
+
 /// The real tree must lint clean with the real allowlist — the same gate
 /// the `static-analysis` CI job enforces, kept honest under `cargo test`.
 #[test]
