@@ -13,6 +13,9 @@
 //! * `canonical/workloads/*` — write-content synthesis: the vips content
 //!   model generating one line per iteration, the simulator's largest
 //!   host-time layer.
+//! * `canonical/memsim/*` — the backing store: DCW `write_line` over a warm
+//!   store of 16,384 resident lines. DCW's plan is small, so the store's
+//!   probe, old-line read and in-place update dominate.
 //! * `canonical/telemetry/*` — per-event sink dispatch cost (the "tracing
 //!   off costs nothing" claim).
 //! * `canonical/writecache/*` — the DRAM write-cache tier's per-store
@@ -123,6 +126,47 @@ pub fn canonical_suite(c: &mut Criterion, quick: bool) {
             b.iter(|| {
                 i = (i + 1) % lines.len();
                 lines[i] = content.generate(0, black_box(&lines[i]));
+            })
+        });
+        g.finish();
+    }
+
+    // --- backing store ---------------------------------------------------
+    {
+        use pcm_memsim::{PcmMainMemory, WriteContent};
+        use pcm_schemes::{DcwWrite, SchemeConfig};
+        use pcm_types::LineData;
+        use pcm_workloads::ProfileContent;
+        const LINES: u64 = 16_384;
+        const WRITES: u64 = 4_096;
+        let vips = WorkloadProfile::by_name("vips").expect("vips profile exists");
+        let mut content = ProfileContent::new(vips, 0xC0FFEE);
+        let mut mem = PcmMainMemory::new(SchemeConfig::paper_baseline(), Box::new(DcwWrite))
+            .expect("the Table II configuration is valid");
+        let zero = LineData::zeroed(64);
+        for line in 0..LINES {
+            let first = content.generate(0, &zero);
+            mem.write_line(line * 64, &first)
+                .expect("bench line is in range");
+        }
+        // Vips write-backs scattered over the resident set, recorded once
+        // so the timed loop runs the store alone, not content synthesis.
+        let writes: Vec<(u64, LineData)> = (0..WRITES)
+            .map(|i| {
+                let addr = (i * 7_919 % LINES) * 64;
+                let old = mem.peek_line(addr).expect("bench line is in range");
+                (addr, content.generate(0, &old))
+            })
+            .collect();
+        let mut g = c.benchmark_group("canonical/memsim");
+        g.sample_size(micro_samples);
+        g.throughput(Throughput::Elements(1));
+        let mut i = 0;
+        g.bench_function("write_line", |b| {
+            b.iter(|| {
+                i = (i + 1) % writes.len();
+                let (addr, new) = &writes[i];
+                black_box(mem.write_line(*addr, black_box(new)))
             })
         });
         g.finish();
@@ -259,6 +303,7 @@ mod tests {
         let mut c = Criterion::with_filters(vec![
             "canonical/analysis".into(),
             "canonical/workloads".into(),
+            "canonical/memsim".into(),
         ]);
         canonical_suite(&mut c, true);
         assert!(!c.has_failures(), "{:?}", c.failures());
@@ -270,6 +315,7 @@ mod tests {
                 "canonical/analysis/flip_encode",
                 "canonical/analysis/analyze_line",
                 "canonical/workloads/content_generate",
+                "canonical/memsim/write_line",
             ]
         );
         let throughput = |id: &str| {
@@ -291,6 +337,13 @@ mod tests {
                 Some(Throughput::Elements(1))
             ),
             "content_generate counts one line per iteration"
+        );
+        assert!(
+            matches!(
+                throughput("canonical/memsim/write_line"),
+                Some(Throughput::Elements(1))
+            ),
+            "write_line counts one line write per iteration"
         );
     }
 }

@@ -3,6 +3,15 @@
 //!
 //! Each touched line stores its array bits, flip-tag mask and wear counter.
 //! Untouched lines read as zero (freshly manufactured cells are amorphous).
+//!
+//! The store is one `LineTable`: an open-addressed index from physical
+//! line to a dense slot number, and per-slot columns for the line's words,
+//! flip tag and wear. A write probes the index once (get-or-insert), then
+//! reads the old line and stores the new one in place. The word column
+//! holds `cache_line_bytes / 8` words per slot, not a [`LineData`], which
+//! reserves [`pcm_types::MAX_LINE_BYTES`] whatever the configured width: a
+//! resident 64 B line costs 76 B of columns plus 16 B index entries at no
+//! more than 3/4 load, instead of a 264 B `LineData` and its tag and wear.
 
 use crate::wear_leveling::StartGap;
 use pcm_schemes::{PackStats, SchemeConfig, WriteCtx, WritePlan, WriteScheme};
@@ -10,13 +19,151 @@ use pcm_types::{
     coset_decode_unit, coset_row, coset_rows_available, AddrMap, LineData, PcmError, PhysAddr,
     PicoJoules, Ps,
 };
-use std::collections::HashMap;
 
-/// One resident line (contents only; wear lives with the physical slot).
-#[derive(Clone, Debug)]
-struct StoredLine {
-    data: LineData,
-    flips: u32,
+/// Index key of a free entry. Physical line indices stay below
+/// `total_lines() + 1` (Start-Gap's spare slot), so no line reaches it.
+const EMPTY: u64 = u64::MAX;
+
+/// The resident lines of one memory.
+///
+/// `index` maps a physical line to its slot with linear probing under a
+/// Fibonacci-multiply hash, and doubles at 3/4 load. The columns are
+/// indexed by slot and only ever append, so a slot number stays valid
+/// while the index grows. Nothing is allocated before the first insert.
+struct LineTable {
+    /// Words per line (`cache_line_bytes / 8`).
+    width: usize,
+    /// `(line, slot)` entries, `line == EMPTY` when free; empty or a
+    /// power of two long.
+    index: Vec<(u64, u32)>,
+    /// `64 - log2(index.len())`: the hash keeps the product's top bits.
+    shift: u32,
+    /// Stored array bits, `width` words per slot.
+    words: Vec<u64>,
+    /// Flip-tag mask per slot.
+    flips: Vec<u32>,
+    /// Programming pulses absorbed per slot (cells don't move; wear stays
+    /// with the physical line even as contents rotate through it).
+    wear: Vec<u64>,
+}
+
+impl LineTable {
+    fn new(width: usize) -> Self {
+        LineTable {
+            width,
+            index: Vec::new(),
+            shift: 64,
+            words: Vec::new(),
+            flips: Vec::new(),
+            wear: Vec::new(),
+        }
+    }
+
+    /// Resident lines.
+    fn len(&self) -> usize {
+        self.flips.len()
+    }
+
+    /// The index entry holding `line`, or the free entry where it belongs.
+    fn probe(&self, line: u64) -> usize {
+        let mask = self.index.len() - 1;
+        let mut i = (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        while self.index[i].0 != line && self.index[i].0 != EMPTY {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// The slot of `line`, if resident.
+    fn get(&self, line: u64) -> Option<usize> {
+        if self.index.is_empty() {
+            return None;
+        }
+        let (key, slot) = self.index[self.probe(line)];
+        (key == line).then_some(slot as usize)
+    }
+
+    /// The slot of `line`, appending an all-zero slot (untouched cells)
+    /// when it is not resident yet.
+    fn get_or_insert(&mut self, line: u64) -> Result<usize, PcmError> {
+        debug_assert_ne!(line, EMPTY, "line index collides with the free key");
+        if let Some(slot) = self.get(line) {
+            return Ok(slot);
+        }
+        let slot = self.len();
+        let tag = u32::try_from(slot)
+            .map_err(|_| PcmError::config("backing store holds at most u32::MAX lines"))?;
+        if (slot + 1) * 4 > self.index.len() * 3 {
+            self.grow();
+        }
+        let i = self.probe(line);
+        self.index[i] = (line, tag);
+        self.words.resize(self.words.len() + self.width, 0);
+        self.flips.push(0);
+        self.wear.push(0);
+        Ok(slot)
+    }
+
+    /// Double the index (16 entries on first use) and re-place every entry.
+    fn grow(&mut self) {
+        let len = (self.index.len() * 2).max(16);
+        let old = std::mem::replace(&mut self.index, vec![(EMPTY, 0); len]);
+        self.shift = 64 - len.trailing_zeros();
+        for (line, slot) in old {
+            if line != EMPTY {
+                let i = self.probe(line);
+                self.index[i] = (line, slot);
+            }
+        }
+    }
+
+    /// The stored words of `slot`.
+    fn line(&self, slot: usize) -> &[u64] {
+        &self.words[slot * self.width..(slot + 1) * self.width]
+    }
+
+    /// Stored contents of `slot` as a line.
+    fn stored(&self, slot: usize) -> LineData {
+        LineData::from_units(self.line(slot))
+    }
+
+    /// Overwrite `slot` with a plan's stored bits and tag; charge `pulses`.
+    fn store(&mut self, slot: usize, data: &LineData, flips: u32, pulses: u64) {
+        debug_assert_eq!(data.num_units(), self.width, "stored line width");
+        let w = self.width;
+        for (dst, unit) in self.words[slot * w..(slot + 1) * w]
+            .iter_mut()
+            .zip(data.units())
+        {
+            *dst = unit;
+        }
+        self.flips[slot] = flips;
+        self.wear[slot] += pulses;
+    }
+
+    /// A Start-Gap move: copy line `from` into the gap line `to`. The gap's
+    /// stale contents (left by an earlier rotation) make the copy
+    /// differential, like any other PCM write. Nothing is copied when
+    /// `from` was never written, as in the two-map store this replaced;
+    /// the gap then keeps its stale contents.
+    fn copy_line(&mut self, from: u64, to: u64) -> Result<(), PcmError> {
+        // Read the displaced line first: its slot survives `to`'s insert.
+        let Some(src) = self.get(from) else {
+            return Ok(());
+        };
+        let dst = self.get_or_insert(to)?;
+        let pulses: u64 = self
+            .line(src)
+            .iter()
+            .zip(self.line(dst))
+            .map(|(a, b)| u64::from((a ^ b).count_ones()))
+            .sum();
+        let w = self.width;
+        self.words.copy_within(src * w..(src + 1) * w, dst * w);
+        self.flips[dst] = self.flips[src];
+        self.wear[dst] += pulses;
+        Ok(())
+    }
 }
 
 /// Outcome of one serviced line write.
@@ -77,6 +224,9 @@ pub struct MemoryStats {
 
 /// The PCM main memory.
 ///
+/// Resident lines live in one line-width table (see the module docs); a
+/// fresh memory allocates nothing for them until its first write.
+///
 /// ```
 /// use pcm_memsim::PcmMainMemory;
 /// use pcm_schemes::{DcwWrite, SchemeConfig};
@@ -93,10 +243,7 @@ pub struct PcmMainMemory {
     map: AddrMap,
     cfg: SchemeConfig,
     scheme: Box<dyn WriteScheme>,
-    lines: HashMap<u64, StoredLine>,
-    /// Programming pulses absorbed per physical slot (cells don't move;
-    /// wear stays with the slot even as contents rotate through it).
-    wear: HashMap<u64, u64>,
+    lines: LineTable,
     leveler: Option<StartGap>,
     stats: MemoryStats,
 }
@@ -107,10 +254,9 @@ impl PcmMainMemory {
         cfg.validate()?;
         Ok(PcmMainMemory {
             map: AddrMap::with_default_rows(cfg.org)?,
+            lines: LineTable::new(cfg.org.cache_line_bytes as usize / 8),
             cfg,
             scheme,
-            lines: HashMap::new(),
-            wear: HashMap::new(),
             leveler: None,
             stats: MemoryStats::default(),
         })
@@ -166,17 +312,15 @@ impl PcmMainMemory {
     pub fn peek_line(&self, addr: PhysAddr) -> Result<LineData, PcmError> {
         let d = self.map.decode(addr)?;
         let phys = self.physical_line(d.line);
-        Ok(match self.lines.get(&phys) {
-            None => LineData::zeroed(self.line_len()),
-            Some(s) => {
-                let mut out = s.data;
-                let n = out.num_units();
-                for i in 0..n {
-                    out.set_unit(i, coset_decode_unit(s.data.unit(i), s.flips, i, n));
-                }
-                out
+        let mut out = LineData::zeroed(self.line_len());
+        if let Some(slot) = self.lines.get(phys) {
+            let (stored, flips) = (self.lines.line(slot), self.lines.flips[slot]);
+            let n = stored.len();
+            for (i, &unit) in stored.iter().enumerate() {
+                out.set_unit(i, coset_decode_unit(unit, flips, i, n));
             }
-        })
+        }
+        Ok(out)
     }
 
     /// Service a line read.
@@ -196,13 +340,11 @@ impl PcmMainMemory {
         }
         let d = self.map.decode(addr)?;
         let phys = self.physical_line(d.line);
-        let (old_stored, old_flips) = match self.lines.get(&phys) {
-            None => (LineData::zeroed(self.line_len()), 0),
-            Some(s) => (s.data, s.flips),
-        };
+        let slot = self.lines.get_or_insert(phys)?;
+        let old_stored = self.lines.stored(slot);
         let ctx = WriteCtx {
             old_stored: &old_stored,
-            old_flips,
+            old_flips: self.lines.flips[slot],
             new_logical: new,
             cfg: &self.cfg,
         };
@@ -213,31 +355,12 @@ impl PcmMainMemory {
         );
 
         let changed = (plan.cell_sets + plan.cell_resets) as u64;
-        self.lines.insert(
-            phys,
-            StoredLine {
-                data: plan.stored,
-                flips: plan.flips,
-            },
-        );
-        *self.wear.entry(phys).or_insert(0) += changed;
+        self.lines.store(slot, &plan.stored, plan.flips, changed);
         if let Some(sg) = &mut self.leveler {
             if let Some(mv) = sg.on_write() {
-                // Copy the displaced line into the gap. The gap slot's
-                // stale contents (left by an earlier rotation) make the
-                // copy differential, like any other PCM write.
-                if let Some(moved) = self.lines.get(&mv.from).cloned() {
-                    let copy_pulses = match self.lines.get(&mv.to) {
-                        Some(stale) if stale.data.len() == moved.data.len() => {
-                            pcm_types::hamming(&stale.data, &moved.data) as u64
-                        }
-                        _ => moved.data.popcount() as u64,
-                    };
-                    *self.wear.entry(mv.to).or_insert(0) += copy_pulses;
-                    // The vacated slot keeps its (now stale) contents; the
-                    // mapping never points at the gap.
-                    self.lines.insert(mv.to, moved);
-                }
+                // The vacated line keeps its (now stale) contents; the
+                // mapping never points at the gap.
+                self.lines.copy_line(mv.from, mv.to)?;
                 self.stats.gap_moves += 1;
             }
         }
@@ -300,9 +423,9 @@ impl PcmMainMemory {
             }
             let d = self.map.decode(*addr)?;
             let phys = self.physical_line(d.line);
-            let (stored, flips) = match self.lines.get(&phys) {
+            let (stored, flips) = match self.lines.get(phys) {
                 None => (LineData::zeroed(self.line_len()), 0),
-                Some(s) => (s.data, s.flips),
+                Some(slot) => (self.lines.stored(slot), self.lines.flips[slot]),
             };
             phys_lines.push(phys);
             olds.push((stored, flips));
@@ -328,14 +451,8 @@ impl PcmMainMemory {
                         coset_rows[r as usize] += 1;
                     }
                     let changed = (plan.cell_sets + plan.cell_resets) as u64;
-                    self.lines.insert(
-                        *phys,
-                        StoredLine {
-                            data: plan.stored,
-                            flips: plan.flips,
-                        },
-                    );
-                    *self.wear.entry(*phys).or_insert(0) += changed;
+                    let slot = self.lines.get_or_insert(*phys)?;
+                    self.lines.store(slot, &plan.stored, plan.flips, changed);
                     self.stats.writes += 1;
                     self.stats.write_units_sum += plan.write_units_equiv;
                     self.stats.energy += plan.energy;
@@ -376,20 +493,16 @@ impl PcmMainMemory {
     pub fn line_wear(&self, addr: PhysAddr) -> Result<u64, PcmError> {
         let d = self.map.decode(addr)?;
         let phys = self.physical_line(d.line);
-        Ok(self.wear.get(&phys).copied().unwrap_or(0))
+        Ok(self.lines.get(phys).map_or(0, |slot| self.lines.wear[slot]))
     }
 
     /// Highest per-slot wear across touched physical lines.
     pub fn max_line_wear(&self) -> u64 {
-        self.wear.values().copied().max().unwrap_or(0)
+        self.lines.wear.iter().copied().max().unwrap_or(0)
     }
 
-    /// Number of physical slots that have absorbed any wear.
-    pub fn worn_slots(&self) -> usize {
-        self.wear.len()
-    }
-
-    /// Number of lines touched so far.
+    /// Number of physical lines touched so far (written, or filled by a
+    /// Start-Gap move).
     pub fn resident_lines(&self) -> usize {
         self.lines.len()
     }
@@ -407,11 +520,432 @@ impl PcmMainMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcm_schemes::{DcwWrite, FlipNWrite};
-    use tetris_write::TetrisWrite;
+    use pcm_schemes::{DcwWrite, FlipNWrite, WireWrite};
+    use pcm_types::propcheck::{any_u64, one_of, vec_of};
+    use pcm_types::rng::SplitMix64;
+    use pcm_types::{prop_assert, prop_assert_eq, propcheck};
+    use tetris_write::{TetrisConfig, TetrisWrite};
 
     fn mem(scheme: Box<dyn WriteScheme>) -> PcmMainMemory {
         PcmMainMemory::new(SchemeConfig::paper_baseline(), scheme).unwrap()
+    }
+
+    /// The store before the line table: two SipHash maps keyed by physical
+    /// line, one full-capacity `LineData` per resident line. Kept as the
+    /// reference model the table is checked against; only the two map
+    /// fields are renamed, so the name-based `no-unordered-iteration` lint
+    /// does not take the table's `wear` column for a hash map.
+    mod oracle {
+        use super::*;
+        use std::collections::HashMap;
+
+        #[derive(Clone, Debug)]
+        struct StoredLine {
+            data: LineData,
+            flips: u32,
+        }
+
+        pub(super) struct HashMapMemory {
+            map: AddrMap,
+            cfg: SchemeConfig,
+            scheme: Box<dyn WriteScheme>,
+            line_map: HashMap<u64, StoredLine>,
+            wear_map: HashMap<u64, u64>,
+            leveler: Option<StartGap>,
+            pub(super) stats: MemoryStats,
+        }
+
+        impl HashMapMemory {
+            pub(super) fn new(
+                cfg: SchemeConfig,
+                scheme: Box<dyn WriteScheme>,
+                psi: Option<u64>,
+            ) -> Self {
+                HashMapMemory {
+                    map: AddrMap::with_default_rows(cfg.org).unwrap(),
+                    cfg,
+                    scheme,
+                    line_map: HashMap::new(),
+                    wear_map: HashMap::new(),
+                    leveler: psi.map(|psi| StartGap::new(cfg.org.total_lines(), psi)),
+                    stats: MemoryStats::default(),
+                }
+            }
+
+            fn physical_line(&self, logical: u64) -> u64 {
+                match &self.leveler {
+                    Some(sg) => sg.map(logical),
+                    None => logical,
+                }
+            }
+
+            fn line_len(&self) -> usize {
+                self.cfg.org.cache_line_bytes as usize
+            }
+
+            pub(super) fn peek_line(&self, addr: PhysAddr) -> Result<LineData, PcmError> {
+                let d = self.map.decode(addr)?;
+                let phys = self.physical_line(d.line);
+                Ok(match self.line_map.get(&phys) {
+                    None => LineData::zeroed(self.line_len()),
+                    Some(s) => {
+                        let mut out = s.data;
+                        let n = out.num_units();
+                        for i in 0..n {
+                            out.set_unit(i, coset_decode_unit(s.data.unit(i), s.flips, i, n));
+                        }
+                        out
+                    }
+                })
+            }
+
+            pub(super) fn read_line(&mut self, addr: PhysAddr) -> Result<LineData, PcmError> {
+                let line = self.peek_line(addr)?;
+                self.stats.reads += 1;
+                Ok(line)
+            }
+
+            pub(super) fn write_line(
+                &mut self,
+                addr: PhysAddr,
+                new: &LineData,
+            ) -> Result<WriteOutcome, PcmError> {
+                let d = self.map.decode(addr)?;
+                let phys = self.physical_line(d.line);
+                let (old_stored, old_flips) = match self.line_map.get(&phys) {
+                    None => (LineData::zeroed(self.line_len()), 0),
+                    Some(s) => (s.data, s.flips),
+                };
+                let ctx = WriteCtx {
+                    old_stored: &old_stored,
+                    old_flips,
+                    new_logical: new,
+                    cfg: &self.cfg,
+                };
+                let plan = self.scheme.plan(&ctx);
+                let changed = (plan.cell_sets + plan.cell_resets) as u64;
+                self.line_map.insert(
+                    phys,
+                    StoredLine {
+                        data: plan.stored,
+                        flips: plan.flips,
+                    },
+                );
+                *self.wear_map.entry(phys).or_insert(0) += changed;
+                if let Some(sg) = &mut self.leveler {
+                    if let Some(mv) = sg.on_write() {
+                        if let Some(moved) = self.line_map.get(&mv.from).cloned() {
+                            let copy_pulses = match self.line_map.get(&mv.to) {
+                                Some(stale) if stale.data.len() == moved.data.len() => {
+                                    pcm_types::hamming(&stale.data, &moved.data) as u64
+                                }
+                                _ => moved.data.popcount() as u64,
+                            };
+                            *self.wear_map.entry(mv.to).or_insert(0) += copy_pulses;
+                            self.line_map.insert(mv.to, moved);
+                        }
+                        self.stats.gap_moves += 1;
+                    }
+                }
+                self.stats.writes += 1;
+                self.stats.write_units_sum += plan.write_units_equiv;
+                self.stats.energy += plan.energy;
+                self.stats.cell_sets += plan.cell_sets as u64;
+                self.stats.cell_resets += plan.cell_resets as u64;
+                Ok(WriteOutcome {
+                    service_time: plan.service_time,
+                    energy: plan.energy,
+                    write_units_equiv: plan.write_units_equiv,
+                    cell_sets: plan.cell_sets,
+                    cell_resets: plan.cell_resets,
+                    partitions_used: plan.partitions_used,
+                    coset_row: self.plan_coset_row(&plan),
+                })
+            }
+
+            fn plan_coset_row(&self, plan: &WritePlan) -> Option<u32> {
+                if self.scheme.uses_flip_bits() && coset_rows_available(plan.stored.num_units()) {
+                    Some(coset_row(plan.flips) as u32)
+                } else {
+                    None
+                }
+            }
+
+            pub(super) fn write_lines_batch(
+                &mut self,
+                writes: &[(PhysAddr, LineData)],
+            ) -> Result<BatchOutcome, PcmError> {
+                if writes.len() == 1 {
+                    let one = self.write_line(writes[0].0, &writes[0].1)?;
+                    let mut coset_rows = [0u32; 4];
+                    if let Some(r) = one.coset_row {
+                        coset_rows[r as usize] += 1;
+                    }
+                    return Ok(BatchOutcome {
+                        service_time: one.service_time,
+                        pack: None,
+                        partitions_used: one.partitions_used,
+                        coset_rows,
+                    });
+                }
+                let mut phys_lines = Vec::with_capacity(writes.len());
+                let mut olds = Vec::with_capacity(writes.len());
+                for (addr, _) in writes {
+                    let d = self.map.decode(*addr)?;
+                    let phys = self.physical_line(d.line);
+                    let (stored, flips) = match self.line_map.get(&phys) {
+                        None => (LineData::zeroed(self.line_len()), 0),
+                        Some(s) => (s.data, s.flips),
+                    };
+                    phys_lines.push(phys);
+                    olds.push((stored, flips));
+                }
+                let ctxs: Vec<WriteCtx<'_>> = writes
+                    .iter()
+                    .zip(&olds)
+                    .map(|((_, new), (stored, flips))| WriteCtx {
+                        old_stored: stored,
+                        old_flips: *flips,
+                        new_logical: new,
+                        cfg: &self.cfg,
+                    })
+                    .collect();
+                match self.scheme.plan_batched(&ctxs) {
+                    Some(batch) => {
+                        let mut partitions_used = 0;
+                        let mut coset_rows = [0u32; 4];
+                        for (plan, phys) in batch.plans.iter().zip(&phys_lines) {
+                            partitions_used = partitions_used.max(plan.partitions_used);
+                            if let Some(r) = self.plan_coset_row(plan) {
+                                coset_rows[r as usize] += 1;
+                            }
+                            let changed = (plan.cell_sets + plan.cell_resets) as u64;
+                            self.line_map.insert(
+                                *phys,
+                                StoredLine {
+                                    data: plan.stored,
+                                    flips: plan.flips,
+                                },
+                            );
+                            *self.wear_map.entry(*phys).or_insert(0) += changed;
+                            self.stats.writes += 1;
+                            self.stats.write_units_sum += plan.write_units_equiv;
+                            self.stats.energy += plan.energy;
+                            self.stats.cell_sets += plan.cell_sets as u64;
+                            self.stats.cell_resets += plan.cell_resets as u64;
+                        }
+                        Ok(BatchOutcome {
+                            service_time: batch.service_time,
+                            pack: batch.pack,
+                            partitions_used,
+                            coset_rows,
+                        })
+                    }
+                    None => {
+                        let mut total = Ps::ZERO;
+                        let mut partitions_used = 0;
+                        let mut coset_rows = [0u32; 4];
+                        for (addr, new) in writes {
+                            let one = self.write_line(*addr, new)?;
+                            total += one.service_time;
+                            partitions_used = partitions_used.max(one.partitions_used);
+                            if let Some(r) = one.coset_row {
+                                coset_rows[r as usize] += 1;
+                            }
+                        }
+                        Ok(BatchOutcome {
+                            service_time: total,
+                            pack: None,
+                            partitions_used,
+                            coset_rows,
+                        })
+                    }
+                }
+            }
+
+            pub(super) fn line_wear(&self, addr: PhysAddr) -> Result<u64, PcmError> {
+                let d = self.map.decode(addr)?;
+                let phys = self.physical_line(d.line);
+                Ok(self.wear_map.get(&phys).copied().unwrap_or(0))
+            }
+
+            pub(super) fn max_line_wear(&self) -> u64 {
+                self.wear_map.values().copied().max().unwrap_or(0)
+            }
+
+            pub(super) fn resident_lines(&self) -> usize {
+                self.line_map.len()
+            }
+        }
+    }
+
+    /// Logical lines of the differential test's memories.
+    const DIFF_LINES: u64 = 512;
+
+    /// Line `seed` writes over `old`: dense random, sparse random, or a
+    /// few bits flipped in place (the differential-write common case).
+    fn synth_line(seed: u64, old: &LineData) -> LineData {
+        let mut rng = SplitMix64::new(seed);
+        let mut out = *old;
+        for i in 0..out.num_units() {
+            let r = rng.next_u64();
+            out.set_unit(
+                i,
+                match seed % 3 {
+                    0 => r,
+                    1 => r & rng.next_u64() & rng.next_u64(),
+                    _ => old.unit(i) ^ (r & rng.next_u64() & rng.next_u64() & rng.next_u64()),
+                },
+            );
+        }
+        out
+    }
+
+    /// The same scheme twice: one for the table, one for the oracle.
+    fn scheme_pair(which: usize, cfg: SchemeConfig) -> [Box<dyn WriteScheme>; 2] {
+        let make = || -> Box<dyn WriteScheme> {
+            match which {
+                0 => Box::new(DcwWrite),
+                1 => Box::new(FlipNWrite),
+                2 => Box::new(WireWrite),
+                _ => Box::new(TetrisWrite::new(TetrisConfig {
+                    scheme: cfg,
+                    ..TetrisConfig::paper_baseline()
+                })),
+            }
+        };
+        [make(), make()]
+    }
+
+    propcheck! {
+        cases = 48;
+        /// Random op sequences give the same outcomes, contents, wear and
+        /// stats on the line table as on the two-map store it replaced,
+        /// across line widths, schemes (Tetris batches through
+        /// `plan_batched`, DCW through the serial fallback) and Start-Gap
+        /// intervals (`psi == 0` disables leveling).
+        fn line_table_matches_hashmap_store(
+            line_bytes in one_of(&[64u32, 128, 256]),
+            which in 0usize..4,
+            psi in 0u64..6,
+            ops in vec_of((0u8..7, 0u64..DIFF_LINES, any_u64()), 150..=400),
+        ) {
+            let mut cfg = SchemeConfig::paper_baseline();
+            cfg.org.cache_line_bytes = line_bytes;
+            cfg.org.capacity_bytes = DIFF_LINES * line_bytes as u64;
+            let [a, b] = scheme_pair(which, cfg);
+            let mut table = if psi == 0 {
+                PcmMainMemory::new(cfg, a)
+            } else {
+                PcmMainMemory::with_wear_leveling(cfg, a, psi)
+            }
+            .unwrap();
+            let mut maps = oracle::HashMapMemory::new(cfg, b, (psi > 0).then_some(psi));
+            let addr = |line: u64| line * line_bytes as u64;
+            for &(op, line, seed) in &ops {
+                match op {
+                    0..=2 => {
+                        let new = synth_line(seed, &maps.peek_line(addr(line)).unwrap());
+                        let got = table.write_line(addr(line), &new).unwrap();
+                        let want = maps.write_line(addr(line), &new).unwrap();
+                        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                    }
+                    3 => {
+                        let batch: Vec<(PhysAddr, LineData)> = (0..2 + seed % 3)
+                            .map(|k| {
+                                let at = addr((line + k * 7) % DIFF_LINES);
+                                (at, synth_line(seed ^ k, &maps.peek_line(at).unwrap()))
+                            })
+                            .collect();
+                        let got = table.write_lines_batch(&batch).unwrap();
+                        let want = maps.write_lines_batch(&batch).unwrap();
+                        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                    }
+                    4 => prop_assert_eq!(
+                        table.peek_line(addr(line)).unwrap(),
+                        maps.peek_line(addr(line)).unwrap()
+                    ),
+                    5 => prop_assert_eq!(
+                        table.read_line(addr(line)).unwrap(),
+                        maps.read_line(addr(line)).unwrap()
+                    ),
+                    _ => prop_assert_eq!(
+                        table.line_wear(addr(line)).unwrap(),
+                        maps.line_wear(addr(line)).unwrap()
+                    ),
+                }
+            }
+            for line in 0..DIFF_LINES {
+                prop_assert_eq!(
+                    table.peek_line(addr(line)).unwrap(),
+                    maps.peek_line(addr(line)).unwrap()
+                );
+                prop_assert_eq!(
+                    table.line_wear(addr(line)).unwrap(),
+                    maps.line_wear(addr(line)).unwrap()
+                );
+            }
+            prop_assert_eq!(table.max_line_wear(), maps.max_line_wear());
+            prop_assert_eq!(table.resident_lines(), maps.resident_lines());
+            prop_assert_eq!(format!("{:?}", table.stats()), format!("{:?}", maps.stats));
+            // Past three doublings of the 16-entry first index.
+            prop_assert!(table.resident_lines() > 48 && table.lines.index.len() >= 128);
+        }
+    }
+
+    #[test]
+    fn fresh_memory_allocates_no_table() {
+        let cfg = SchemeConfig::paper_baseline();
+        for m in [
+            PcmMainMemory::new(cfg, Box::new(DcwWrite)).unwrap(),
+            PcmMainMemory::with_wear_leveling(cfg, Box::new(DcwWrite), 100).unwrap(),
+        ] {
+            let t = &m.lines;
+            assert_eq!(
+                [
+                    t.index.capacity(),
+                    t.words.capacity(),
+                    t.flips.capacity(),
+                    t.wear.capacity()
+                ],
+                [0; 4]
+            );
+            assert_eq!(m.max_line_wear(), 0);
+            assert_eq!(m.line_wear(0x40).unwrap(), 0);
+        }
+    }
+
+    #[test]
+    fn table_slots_survive_index_growth() {
+        let mut t = LineTable::new(4);
+        // Sequential, strided and top-of-range keys, interleaved.
+        let key = |i: u64| match i % 3 {
+            0 => i,
+            1 => i << 20,
+            _ => u64::MAX - 1 - i,
+        };
+        for i in 0..1_000u64 {
+            assert_eq!(t.get_or_insert(key(i)).unwrap(), i as usize, "slots append");
+            t.words[i as usize * 4] = i;
+            assert!(t.len() * 4 <= t.index.len() * 3, "load stays at most 3/4");
+        }
+        assert_eq!(t.index.len(), 2_048);
+        for i in 0..1_000u64 {
+            assert_eq!(t.get(key(i)), Some(i as usize));
+            assert_eq!(
+                t.get_or_insert(key(i)).unwrap(),
+                i as usize,
+                "hit keeps the slot"
+            );
+            assert_eq!(t.line(i as usize)[0], i, "columns follow the slot");
+        }
+        assert_eq!(t.len(), 1_000);
+        assert_eq!(t.get(3_000), None);
+        assert_eq!(
+            t.words.len(),
+            4_000,
+            "four words per line, not a full LineData"
+        );
     }
 
     #[test]
@@ -518,7 +1052,10 @@ mod tests {
             lev.max_line_wear(),
             plain_max
         );
-        assert!(lev.worn_slots() >= 8, "wear spread across physical slots");
+        assert!(
+            lev.resident_lines() >= 8,
+            "wear spread across physical slots"
+        );
     }
 
     #[test]

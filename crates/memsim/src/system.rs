@@ -22,7 +22,7 @@ use crate::writecache::{WriteAdmit, WriteCache, WriteCacheStats};
 use pcm_schemes::{SchemeConfig, SchemeSelect, WriteScheme};
 use pcm_telemetry::{NullSink, OpKind, Telemetry, TelemetryEvent, TraceDetail};
 use pcm_types::{PhysAddr, Ps};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Which abstraction level the trace describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,7 +49,6 @@ pub struct System {
     queue: EventQueue,
     now: Ps,
     next_req_id: u64,
-    read_waiters: HashMap<u64, usize>,
     stalled_write: Vec<usize>,
     stalled_read: Vec<usize>,
     /// Per-core write-backs awaiting queue space (CPU mode).
@@ -119,7 +118,6 @@ impl System {
             queue: EventQueue::new(),
             now: Ps::ZERO,
             next_req_id: 0,
-            read_waiters: HashMap::new(),
             stalled_write: Vec::new(),
             stalled_read: Vec::new(),
             read_lat: LatencyStats::default(),
@@ -424,7 +422,6 @@ impl System {
                 self.queue.push(t, Event::CoreStep { core });
             }
             ReadEnqueue::Queued => {
-                self.read_waiters.insert(req.id, core);
                 self.cores[core].phase = CorePhase::WaitingRead {
                     req_id: req.id,
                     since: self.now,
@@ -568,14 +565,16 @@ impl System {
             match req.kind {
                 AccessKind::Read => {
                     self.read_lat.record(latency);
-                    if let Some(core) = self.read_waiters.remove(&req.id) {
-                        if let CorePhase::WaitingRead { since, .. } = self.cores[core].phase {
-                            self.cores[core].read_stall += self.now - since;
-                        }
-                        self.cores[core].phase = CorePhase::Ready;
-                        self.cores[core].finish_time = self.now;
-                        self.queue.push(self.now, Event::CoreStep { core });
+                    // Only `issue_mem_read` queues reads, and a core has at
+                    // most one outstanding: the issuing core is the waiter.
+                    let core = req.core;
+                    if let CorePhase::WaitingRead { req_id, since } = self.cores[core].phase {
+                        debug_assert_eq!(req_id, req.id, "core {core} waits on another read");
+                        self.cores[core].read_stall += self.now - since;
                     }
+                    self.cores[core].phase = CorePhase::Ready;
+                    self.cores[core].finish_time = self.now;
+                    self.queue.push(self.now, Event::CoreStep { core });
                 }
                 AccessKind::Write => {
                     self.write_lat.record(latency);

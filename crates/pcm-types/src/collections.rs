@@ -11,7 +11,9 @@
 //! The copy is O(n log n) — deliberate. Hash containers on hot paths
 //! should only ever be *probed*; when code needs to walk one, it is in a
 //! reporting/rollup path where the clone is noise and the determinism is
-//! the point.
+//! the point. The simulator's per-request path holds none: the backing
+//! store is its own open-addressed line table (`pcm_memsim`'s `memory`
+//! module) and a completed read finds its core through the request.
 
 use std::collections::{HashMap, HashSet};
 
