@@ -1,10 +1,9 @@
 //! Beyond-paper extensions: print the batching / pausing / subarray tables
-//! once, then measure the batch packer, the wear leveler, and the P&V loop.
+//! once, then measure the batch packer and the P&V loop.
 
 use pcm_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pcm_device::verify::{program_row_verified, VerifyParams};
 use pcm_device::CellBlock;
-use pcm_memsim::StartGap;
 use pcm_types::rng::SmallRng;
 use pcm_types::PcmTimings;
 use pcm_workloads::WorkloadProfile;
@@ -30,16 +29,6 @@ fn bench(c: &mut Criterion) {
         });
     }
     g.finish();
-
-    c.bench_function("ext/start_gap_map", |b| {
-        let mut sg = StartGap::new(1 << 20, 100);
-        let mut la = 0u64;
-        b.iter(|| {
-            la = (la + 12_345) % (1 << 20);
-            sg.on_write();
-            black_box(sg.map(la))
-        })
-    });
 
     c.bench_function("ext/pv_program_5pct_failures", |b| {
         let t = PcmTimings::paper_baseline();

@@ -2,14 +2,12 @@
 
 use crate::pool;
 use crate::schemes::SchemeKind;
+use pcm_memsim::shard::RANK_SEED_STRIDE;
 use pcm_memsim::{Rank, ShardedSystem, SimResult, System, SystemConfig};
 use pcm_telemetry::{AsyncTraceWriter, NullSink, Telemetry, TraceDetail};
 use pcm_types::PcmError;
 use pcm_workloads::{GeneratorConfig, ProfileContent, SyntheticParsec, WorkloadProfile};
 use tetris_write::TetrisConfig;
-
-/// Per-rank content-seed perturbation (rank 0 keeps the unsharded seed).
-const RANK_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Sizing/seeding for one experiment run.
 #[derive(Clone, Copy, Debug)]

@@ -170,11 +170,6 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Files belonging to crate `name` (by directory under `crates/`).
-    pub fn crate_files<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a SourceFile> {
-        self.files.iter().filter(move |f| f.crate_name == name)
-    }
-
     /// The file at `path`, if scanned.
     pub fn file(&self, path: &str) -> Option<&SourceFile> {
         self.files.iter().find(|f| f.path == path)

@@ -52,7 +52,6 @@ pub mod sched;
 pub mod shard;
 pub mod stats;
 pub mod system;
-pub mod wear_leveling;
 pub mod writecache;
 
 pub use config::{
@@ -70,5 +69,4 @@ pub use sched::{SchedConfig, SchedPolicy, WindowPoll};
 pub use shard::{Rank, RankPlan, ShardedSystem};
 pub use stats::{LatencyStats, SimResult};
 pub use system::{System, TraceLevel};
-pub use wear_leveling::{GapMove, StartGap};
 pub use writecache::{WriteAdmit, WriteCache, WriteCacheStats};

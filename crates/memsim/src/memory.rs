@@ -4,8 +4,8 @@
 //! Each touched line stores its array bits, flip-tag mask and wear counter.
 //! Untouched lines read as zero (freshly manufactured cells are amorphous).
 //!
-//! The store is one `LineTable`: an open-addressed index from physical
-//! line to a dense slot number, and per-slot columns for the line's words,
+//! The store is one `LineTable`: an open-addressed index from line
+//! number to a dense slot number, and per-slot columns for the line's words,
 //! flip tag and wear. A write probes the index once (get-or-insert), then
 //! reads the old line and stores the new one in place. The word column
 //! holds `cache_line_bytes / 8` words per slot, not a [`LineData`], which
@@ -13,20 +13,19 @@
 //! resident 64 B line costs 76 B of columns plus 16 B index entries at no
 //! more than 3/4 load, instead of a 264 B `LineData` and its tag and wear.
 
-use crate::wear_leveling::StartGap;
 use pcm_schemes::{PackStats, SchemeConfig, WriteCtx, WritePlan, WriteScheme};
 use pcm_types::{
     coset_decode_unit, coset_row, coset_rows_available, AddrMap, LineData, PcmError, PhysAddr,
     PicoJoules, Ps,
 };
 
-/// Index key of a free entry. Physical line indices stay below
-/// `total_lines() + 1` (Start-Gap's spare slot), so no line reaches it.
+/// Index key of a free entry. Line indices stay below `total_lines()`,
+/// so no line reaches it.
 const EMPTY: u64 = u64::MAX;
 
 /// The resident lines of one memory.
 ///
-/// `index` maps a physical line to its slot with linear probing under a
+/// `index` maps a line number to its slot with linear probing under a
 /// Fibonacci-multiply hash, and doubles at 3/4 load. The columns are
 /// indexed by slot and only ever append, so a slot number stays valid
 /// while the index grows. Nothing is allocated before the first insert.
@@ -42,8 +41,7 @@ struct LineTable {
     words: Vec<u64>,
     /// Flip-tag mask per slot.
     flips: Vec<u32>,
-    /// Programming pulses absorbed per slot (cells don't move; wear stays
-    /// with the physical line even as contents rotate through it).
+    /// Programming pulses absorbed per slot.
     wear: Vec<u64>,
 }
 
@@ -140,30 +138,6 @@ impl LineTable {
         self.flips[slot] = flips;
         self.wear[slot] += pulses;
     }
-
-    /// A Start-Gap move: copy line `from` into the gap line `to`. The gap's
-    /// stale contents (left by an earlier rotation) make the copy
-    /// differential, like any other PCM write. Nothing is copied when
-    /// `from` was never written, as in the two-map store this replaced;
-    /// the gap then keeps its stale contents.
-    fn copy_line(&mut self, from: u64, to: u64) -> Result<(), PcmError> {
-        // Read the displaced line first: its slot survives `to`'s insert.
-        let Some(src) = self.get(from) else {
-            return Ok(());
-        };
-        let dst = self.get_or_insert(to)?;
-        let pulses: u64 = self
-            .line(src)
-            .iter()
-            .zip(self.line(dst))
-            .map(|(a, b)| u64::from((a ^ b).count_ones()))
-            .sum();
-        let w = self.width;
-        self.words.copy_within(src * w..(src + 1) * w, dst * w);
-        self.flips[dst] = self.flips[src];
-        self.wear[dst] += pulses;
-        Ok(())
-    }
 }
 
 /// Outcome of one serviced line write.
@@ -206,8 +180,6 @@ pub struct BatchOutcome {
 /// Aggregate memory statistics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MemoryStats {
-    /// Gap moves performed by the wear leveler.
-    pub gap_moves: u64,
     /// Serviced line writes.
     pub writes: u64,
     /// Serviced line reads.
@@ -244,7 +216,6 @@ pub struct PcmMainMemory {
     cfg: SchemeConfig,
     scheme: Box<dyn WriteScheme>,
     lines: LineTable,
-    leveler: Option<StartGap>,
     stats: MemoryStats,
 }
 
@@ -257,34 +228,8 @@ impl PcmMainMemory {
             lines: LineTable::new(cfg.org.cache_line_bytes as usize / 8),
             cfg,
             scheme,
-            leveler: None,
             stats: MemoryStats::default(),
         })
-    }
-
-    /// Enable Start-Gap wear leveling (ref. \[5\]): logical lines rotate
-    /// across physical slots, one gap move per `psi` writes.
-    pub fn with_wear_leveling(
-        cfg: SchemeConfig,
-        scheme: Box<dyn WriteScheme>,
-        psi: u64,
-    ) -> Result<Self, PcmError> {
-        let mut m = Self::new(cfg, scheme)?;
-        m.leveler = Some(StartGap::new(m.cfg.org.total_lines(), psi));
-        Ok(m)
-    }
-
-    /// The wear leveler, if enabled.
-    pub fn leveler(&self) -> Option<&StartGap> {
-        self.leveler.as_ref()
-    }
-
-    /// Resolve a logical line index to its physical slot.
-    fn physical_line(&self, logical: u64) -> u64 {
-        match &self.leveler {
-            Some(sg) => sg.map(logical),
-            None => logical,
-        }
     }
 
     /// The address map in use.
@@ -311,9 +256,8 @@ impl PcmMainMemory {
     /// device read — used by content synthesis and tests).
     pub fn peek_line(&self, addr: PhysAddr) -> Result<LineData, PcmError> {
         let d = self.map.decode(addr)?;
-        let phys = self.physical_line(d.line);
         let mut out = LineData::zeroed(self.line_len());
-        if let Some(slot) = self.lines.get(phys) {
+        if let Some(slot) = self.lines.get(d.line) {
             let (stored, flips) = (self.lines.line(slot), self.lines.flips[slot]);
             let n = stored.len();
             for (i, &unit) in stored.iter().enumerate() {
@@ -339,8 +283,7 @@ impl PcmMainMemory {
             });
         }
         let d = self.map.decode(addr)?;
-        let phys = self.physical_line(d.line);
-        let slot = self.lines.get_or_insert(phys)?;
+        let slot = self.lines.get_or_insert(d.line)?;
         let old_stored = self.lines.stored(slot);
         let ctx = WriteCtx {
             old_stored: &old_stored,
@@ -356,14 +299,6 @@ impl PcmMainMemory {
 
         let changed = (plan.cell_sets + plan.cell_resets) as u64;
         self.lines.store(slot, &plan.stored, plan.flips, changed);
-        if let Some(sg) = &mut self.leveler {
-            if let Some(mv) = sg.on_write() {
-                // The vacated line keeps its (now stale) contents; the
-                // mapping never points at the gap.
-                self.lines.copy_line(mv.from, mv.to)?;
-                self.stats.gap_moves += 1;
-            }
-        }
         self.stats.writes += 1;
         self.stats.write_units_sum += plan.write_units_equiv;
         self.stats.energy += plan.energy;
@@ -412,7 +347,7 @@ impl PcmMainMemory {
             });
         }
         // Gather the old state of every line up front (ctxs borrow it).
-        let mut phys_lines = Vec::with_capacity(writes.len());
+        let mut lines = Vec::with_capacity(writes.len());
         let mut olds = Vec::with_capacity(writes.len());
         for (addr, new) in writes {
             if new.len() != self.line_len() {
@@ -422,12 +357,11 @@ impl PcmMainMemory {
                 });
             }
             let d = self.map.decode(*addr)?;
-            let phys = self.physical_line(d.line);
-            let (stored, flips) = match self.lines.get(phys) {
+            let (stored, flips) = match self.lines.get(d.line) {
                 None => (LineData::zeroed(self.line_len()), 0),
                 Some(slot) => (self.lines.stored(slot), self.lines.flips[slot]),
             };
-            phys_lines.push(phys);
+            lines.push(d.line);
             olds.push((stored, flips));
         }
         let ctxs: Vec<WriteCtx<'_>> = writes
@@ -444,14 +378,14 @@ impl PcmMainMemory {
             Some(batch) => {
                 let mut partitions_used = 0;
                 let mut coset_rows = [0u32; 4];
-                for ((plan, phys), (_, new)) in batch.plans.iter().zip(&phys_lines).zip(writes) {
+                for ((plan, line), (_, new)) in batch.plans.iter().zip(&lines).zip(writes) {
                     debug_assert!(plan.check_decodes_to(new).is_ok());
                     partitions_used = partitions_used.max(plan.partitions_used);
                     if let Some(r) = self.plan_coset_row(plan) {
                         coset_rows[r as usize] += 1;
                     }
                     let changed = (plan.cell_sets + plan.cell_resets) as u64;
-                    let slot = self.lines.get_or_insert(*phys)?;
+                    let slot = self.lines.get_or_insert(*line)?;
                     self.lines.store(slot, &plan.stored, plan.flips, changed);
                     self.stats.writes += 1;
                     self.stats.write_units_sum += plan.write_units_equiv;
@@ -492,17 +426,18 @@ impl PcmMainMemory {
     /// Wear (total programming pulses) of the line containing `addr`.
     pub fn line_wear(&self, addr: PhysAddr) -> Result<u64, PcmError> {
         let d = self.map.decode(addr)?;
-        let phys = self.physical_line(d.line);
-        Ok(self.lines.get(phys).map_or(0, |slot| self.lines.wear[slot]))
+        Ok(self
+            .lines
+            .get(d.line)
+            .map_or(0, |slot| self.lines.wear[slot]))
     }
 
-    /// Highest per-slot wear across touched physical lines.
+    /// Highest wear across touched lines.
     pub fn max_line_wear(&self) -> u64 {
         self.lines.wear.iter().copied().max().unwrap_or(0)
     }
 
-    /// Number of physical lines touched so far (written, or filled by a
-    /// Start-Gap move).
+    /// Number of lines written so far.
     pub fn resident_lines(&self) -> usize {
         self.lines.len()
     }
@@ -530,8 +465,7 @@ mod tests {
         PcmMainMemory::new(SchemeConfig::paper_baseline(), scheme).unwrap()
     }
 
-    /// The store before the line table: two SipHash maps keyed by physical
-    /// line, one full-capacity `LineData` per resident line. Kept as the
+    /// The store before the line table: two SipHash maps keyed by line, one full-capacity `LineData` per resident line. Kept as the
     /// reference model the table is checked against; only the two map
     /// fields are renamed, so the name-based `no-unordered-iteration` lint
     /// does not take the table's `wear` column for a hash map.
@@ -551,31 +485,18 @@ mod tests {
             scheme: Box<dyn WriteScheme>,
             line_map: HashMap<u64, StoredLine>,
             wear_map: HashMap<u64, u64>,
-            leveler: Option<StartGap>,
             pub(super) stats: MemoryStats,
         }
 
         impl HashMapMemory {
-            pub(super) fn new(
-                cfg: SchemeConfig,
-                scheme: Box<dyn WriteScheme>,
-                psi: Option<u64>,
-            ) -> Self {
+            pub(super) fn new(cfg: SchemeConfig, scheme: Box<dyn WriteScheme>) -> Self {
                 HashMapMemory {
                     map: AddrMap::with_default_rows(cfg.org).unwrap(),
                     cfg,
                     scheme,
                     line_map: HashMap::new(),
                     wear_map: HashMap::new(),
-                    leveler: psi.map(|psi| StartGap::new(cfg.org.total_lines(), psi)),
                     stats: MemoryStats::default(),
-                }
-            }
-
-            fn physical_line(&self, logical: u64) -> u64 {
-                match &self.leveler {
-                    Some(sg) => sg.map(logical),
-                    None => logical,
                 }
             }
 
@@ -585,8 +506,7 @@ mod tests {
 
             pub(super) fn peek_line(&self, addr: PhysAddr) -> Result<LineData, PcmError> {
                 let d = self.map.decode(addr)?;
-                let phys = self.physical_line(d.line);
-                Ok(match self.line_map.get(&phys) {
+                Ok(match self.line_map.get(&d.line) {
                     None => LineData::zeroed(self.line_len()),
                     Some(s) => {
                         let mut out = s.data;
@@ -611,8 +531,7 @@ mod tests {
                 new: &LineData,
             ) -> Result<WriteOutcome, PcmError> {
                 let d = self.map.decode(addr)?;
-                let phys = self.physical_line(d.line);
-                let (old_stored, old_flips) = match self.line_map.get(&phys) {
+                let (old_stored, old_flips) = match self.line_map.get(&d.line) {
                     None => (LineData::zeroed(self.line_len()), 0),
                     Some(s) => (s.data, s.flips),
                 };
@@ -625,28 +544,13 @@ mod tests {
                 let plan = self.scheme.plan(&ctx);
                 let changed = (plan.cell_sets + plan.cell_resets) as u64;
                 self.line_map.insert(
-                    phys,
+                    d.line,
                     StoredLine {
                         data: plan.stored,
                         flips: plan.flips,
                     },
                 );
-                *self.wear_map.entry(phys).or_insert(0) += changed;
-                if let Some(sg) = &mut self.leveler {
-                    if let Some(mv) = sg.on_write() {
-                        if let Some(moved) = self.line_map.get(&mv.from).cloned() {
-                            let copy_pulses = match self.line_map.get(&mv.to) {
-                                Some(stale) if stale.data.len() == moved.data.len() => {
-                                    pcm_types::hamming(&stale.data, &moved.data) as u64
-                                }
-                                _ => moved.data.popcount() as u64,
-                            };
-                            *self.wear_map.entry(mv.to).or_insert(0) += copy_pulses;
-                            self.line_map.insert(mv.to, moved);
-                        }
-                        self.stats.gap_moves += 1;
-                    }
-                }
+                *self.wear_map.entry(d.line).or_insert(0) += changed;
                 self.stats.writes += 1;
                 self.stats.write_units_sum += plan.write_units_equiv;
                 self.stats.energy += plan.energy;
@@ -688,16 +592,15 @@ mod tests {
                         coset_rows,
                     });
                 }
-                let mut phys_lines = Vec::with_capacity(writes.len());
+                let mut lines = Vec::with_capacity(writes.len());
                 let mut olds = Vec::with_capacity(writes.len());
                 for (addr, _) in writes {
                     let d = self.map.decode(*addr)?;
-                    let phys = self.physical_line(d.line);
-                    let (stored, flips) = match self.line_map.get(&phys) {
+                    let (stored, flips) = match self.line_map.get(&d.line) {
                         None => (LineData::zeroed(self.line_len()), 0),
                         Some(s) => (s.data, s.flips),
                     };
-                    phys_lines.push(phys);
+                    lines.push(d.line);
                     olds.push((stored, flips));
                 }
                 let ctxs: Vec<WriteCtx<'_>> = writes
@@ -714,20 +617,20 @@ mod tests {
                     Some(batch) => {
                         let mut partitions_used = 0;
                         let mut coset_rows = [0u32; 4];
-                        for (plan, phys) in batch.plans.iter().zip(&phys_lines) {
+                        for (plan, line) in batch.plans.iter().zip(&lines) {
                             partitions_used = partitions_used.max(plan.partitions_used);
                             if let Some(r) = self.plan_coset_row(plan) {
                                 coset_rows[r as usize] += 1;
                             }
                             let changed = (plan.cell_sets + plan.cell_resets) as u64;
                             self.line_map.insert(
-                                *phys,
+                                *line,
                                 StoredLine {
                                     data: plan.stored,
                                     flips: plan.flips,
                                 },
                             );
-                            *self.wear_map.entry(*phys).or_insert(0) += changed;
+                            *self.wear_map.entry(*line).or_insert(0) += changed;
                             self.stats.writes += 1;
                             self.stats.write_units_sum += plan.write_units_equiv;
                             self.stats.energy += plan.energy;
@@ -765,8 +668,7 @@ mod tests {
 
             pub(super) fn line_wear(&self, addr: PhysAddr) -> Result<u64, PcmError> {
                 let d = self.map.decode(addr)?;
-                let phys = self.physical_line(d.line);
-                Ok(self.wear_map.get(&phys).copied().unwrap_or(0))
+                Ok(self.wear_map.get(&d.line).copied().unwrap_or(0))
             }
 
             pub(super) fn max_line_wear(&self) -> u64 {
@@ -821,26 +723,19 @@ mod tests {
         cases = 48;
         /// Random op sequences give the same outcomes, contents, wear and
         /// stats on the line table as on the two-map store it replaced,
-        /// across line widths, schemes (Tetris batches through
-        /// `plan_batched`, DCW through the serial fallback) and Start-Gap
-        /// intervals (`psi == 0` disables leveling).
+        /// across line widths and schemes (Tetris batches through
+        /// `plan_batched`, DCW through the serial fallback).
         fn line_table_matches_hashmap_store(
             line_bytes in one_of(&[64u32, 128, 256]),
             which in 0usize..4,
-            psi in 0u64..6,
             ops in vec_of((0u8..7, 0u64..DIFF_LINES, any_u64()), 150..=400),
         ) {
             let mut cfg = SchemeConfig::paper_baseline();
             cfg.org.cache_line_bytes = line_bytes;
             cfg.org.capacity_bytes = DIFF_LINES * line_bytes as u64;
             let [a, b] = scheme_pair(which, cfg);
-            let mut table = if psi == 0 {
-                PcmMainMemory::new(cfg, a)
-            } else {
-                PcmMainMemory::with_wear_leveling(cfg, a, psi)
-            }
-            .unwrap();
-            let mut maps = oracle::HashMapMemory::new(cfg, b, (psi > 0).then_some(psi));
+            let mut table = PcmMainMemory::new(cfg, a).unwrap();
+            let mut maps = oracle::HashMapMemory::new(cfg, b);
             let addr = |line: u64| line * line_bytes as u64;
             for &(op, line, seed) in &ops {
                 match op {
@@ -895,24 +790,19 @@ mod tests {
 
     #[test]
     fn fresh_memory_allocates_no_table() {
-        let cfg = SchemeConfig::paper_baseline();
-        for m in [
-            PcmMainMemory::new(cfg, Box::new(DcwWrite)).unwrap(),
-            PcmMainMemory::with_wear_leveling(cfg, Box::new(DcwWrite), 100).unwrap(),
-        ] {
-            let t = &m.lines;
-            assert_eq!(
-                [
-                    t.index.capacity(),
-                    t.words.capacity(),
-                    t.flips.capacity(),
-                    t.wear.capacity()
-                ],
-                [0; 4]
-            );
-            assert_eq!(m.max_line_wear(), 0);
-            assert_eq!(m.line_wear(0x40).unwrap(), 0);
-        }
+        let m = mem(Box::new(DcwWrite));
+        let t = &m.lines;
+        assert_eq!(
+            [
+                t.index.capacity(),
+                t.words.capacity(),
+                t.flips.capacity(),
+                t.wear.capacity()
+            ],
+            [0; 4]
+        );
+        assert_eq!(m.max_line_wear(), 0);
+        assert_eq!(m.line_wear(0x40).unwrap(), 0);
     }
 
     #[test]
@@ -1018,68 +908,6 @@ mod tests {
             1.0,
             "56 SET-equivalents pack into one unit"
         );
-    }
-
-    #[test]
-    fn wear_leveling_spreads_a_hot_line() {
-        // Shrink the memory so the gap rotation is visible quickly.
-        let mut cfg = SchemeConfig::paper_baseline();
-        cfg.org.capacity_bytes = 8 * 64; // 8 lines
-        let hot = 0u64;
-        let mut line = LineData::zeroed(64);
-
-        // Without leveling: all wear lands on one physical line.
-        let mut plain = PcmMainMemory::new(cfg, Box::new(DcwWrite)).unwrap();
-        for i in 0..640u64 {
-            line.xor_unit(0, 1 << (i % 60));
-            plain.write_line(hot, &line).unwrap();
-        }
-        let plain_max = plain.max_line_wear();
-        assert_eq!(plain.resident_lines(), 1);
-
-        // With Start-Gap (psi = 10): the hot line rotates through slots.
-        let mut lev = PcmMainMemory::with_wear_leveling(cfg, Box::new(DcwWrite), 10).unwrap();
-        let mut line = LineData::zeroed(64);
-        for i in 0..640u64 {
-            line.xor_unit(0, 1 << (i % 60));
-            lev.write_line(hot, &line).unwrap();
-            assert_eq!(lev.peek_line(hot).unwrap(), line, "contents follow the gap");
-        }
-        assert_eq!(lev.stats().gap_moves, 64);
-        assert!(
-            lev.max_line_wear() < plain_max / 2,
-            "leveled max wear {} vs unleveled {}",
-            lev.max_line_wear(),
-            plain_max
-        );
-        assert!(
-            lev.resident_lines() >= 8,
-            "wear spread across physical slots"
-        );
-    }
-
-    #[test]
-    fn wear_leveling_preserves_all_contents() {
-        let mut cfg = SchemeConfig::paper_baseline();
-        cfg.org.capacity_bytes = 16 * 64;
-        let mut mem = PcmMainMemory::with_wear_leveling(cfg, Box::new(DcwWrite), 3).unwrap();
-        // Tag every line, churn, then verify.
-        for i in 0..16u64 {
-            let tag = LineData::from_units(&[i + 1; 8]);
-            mem.write_line(i * 64, &tag).unwrap();
-        }
-        for round in 0..100u64 {
-            let i = round % 16;
-            let tag = LineData::from_units(&[i + 1; 8]);
-            mem.write_line(i * 64, &tag).unwrap();
-        }
-        for i in 0..16u64 {
-            assert_eq!(
-                mem.peek_line(i * 64).unwrap(),
-                LineData::from_units(&[i + 1; 8]),
-                "line {i} contents survived rotation"
-            );
-        }
     }
 
     #[test]

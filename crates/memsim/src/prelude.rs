@@ -39,8 +39,8 @@ pub use pcm_schemes::{
 };
 
 pub use pcm_telemetry::{
-    AsyncRankSink, AsyncTraceWriter, JsonlSink, MemorySink, NullSink, OpKind, RingBufferSink,
-    Telemetry, TelemetryEvent, TraceDetail, TraceSummary,
+    AsyncRankSink, AsyncTraceWriter, JsonlSink, MemorySink, NullSink, OpKind, Telemetry,
+    TelemetryEvent, TraceDetail, TraceSummary,
 };
 
 pub use pcm_types::{

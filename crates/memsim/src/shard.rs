@@ -31,6 +31,10 @@ use crate::stats::SimResult;
 use crate::system::{System, TraceLevel};
 use pcm_types::{AddrMap, PcmError};
 
+/// Per-rank content-seed perturbation: rank `r` XORs its driver's content
+/// seed with `r * RANK_SEED_STRIDE`, so rank 0 keeps the unsharded seed.
+pub const RANK_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// Everything needed to build and run one rank's [`System`]: the rank's
 /// single-rank configuration and its share of the trace (gap-folded,
 /// rank-locally re-addressed).

@@ -144,11 +144,6 @@ impl WriteCache {
         &self.stats
     }
 
-    /// The replacement policy's display name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Absorb one write. Coalesces into an existing frame when the line
     /// is cached; otherwise claims a frame, evicting the policy's victim
     /// if the budget is exhausted. Callers that cannot take an eviction

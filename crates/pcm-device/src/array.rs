@@ -4,7 +4,7 @@
 //! wear counters. Programming is differential at the mask level: callers
 //! pass explicit SET and RESET masks and only those cells receive pulses.
 
-use crate::cell::{CellState, PcmCell};
+use crate::cell::PcmCell;
 use crate::pulse::{Pulse, PulseKind};
 use pcm_types::PcmError;
 
@@ -130,11 +130,6 @@ impl CellBlock {
     /// Total programming pulses absorbed by the block.
     pub fn total_wear(&self) -> u64 {
         self.wear.iter().map(|&w| w as u64).sum()
-    }
-
-    /// State of one cell.
-    pub fn cell_state(&self, row: usize, col: usize) -> CellState {
-        CellState::from_bit(self.bits[row] >> col & 1 == 1)
     }
 
     fn check_row(&self, row: usize) -> Result<(), PcmError> {

@@ -22,15 +22,9 @@
 //! * [`fsm`] — the FSM0/FSM1 executors (Fig. 8) that replay a write
 //!   schedule tick by tick, asserting MUX-select and write signals, while
 //!   the charge pump checks the instantaneous budget on every tick.
-//! * [`fsm_clocked`] — the same machines stepped at the 400 MHz memory-bus
-//!   clock with explicit states and cycle counters, quantifying the clock
-//!   quantization a real controller pays on top of Eq. 5.
 //! * [`verify`] — program-and-verify with injectable per-bit pulse
 //!   failures: the realism/fault-injection hook behind the chips'
 //!   "program-and-verification circuits".
-//! * [`mlc`] — 2-bit MLC cells with program-and-verify staircase writes,
-//!   the device-level groundwork behind the GCP substrate's original MLC
-//!   setting (and the reason the paper sticks to SLC).
 //!
 //! The device model is *bit-accurate but compact*: cells store logical
 //! state + wear, not analog dynamics. It exists so that schedules produced
@@ -47,8 +41,6 @@ pub mod cell;
 pub mod charge_pump;
 pub mod chip;
 pub mod fsm;
-pub mod fsm_clocked;
-pub mod mlc;
 pub mod pulse;
 pub mod verify;
 pub mod write_driver;
@@ -59,8 +51,6 @@ pub use cell::{CellState, PcmCell};
 pub use charge_pump::{ChargePump, CurrentMeter, GlobalChargePump};
 pub use chip::PcmChip;
 pub use fsm::{FsmExecutor, ScheduledBitWrite, WriteOp};
-pub use fsm_clocked::{ClockedFsmPair, ClockedReport};
-pub use mlc::{MlcCell, MlcLevel, MlcProgramParams};
 pub use pulse::{Pulse, PulseKind, PulseLibrary};
 pub use verify::{program_row_verified, VerifyParams, VerifyReport};
 pub use write_driver::{DriveOutputs, WriteDriver, WriteSignal};

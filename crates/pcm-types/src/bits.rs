@@ -69,22 +69,6 @@ pub fn hamming(a: &LineData, b: &LineData) -> u32 {
         .sum()
 }
 
-/// Per-unit transitions for a whole line.
-///
-/// # Panics
-/// If the lines differ in length.
-pub fn line_transitions(old: &LineData, new: &LineData) -> Vec<Transitions> {
-    assert_eq!(
-        old.len(),
-        new.len(),
-        "transitions over unequal line lengths"
-    );
-    old.units()
-        .zip(new.units())
-        .map(|(o, n)| transitions(o, n))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

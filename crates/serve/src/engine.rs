@@ -25,6 +25,7 @@
 //! completely full. Queue depth is therefore bounded by construction; the
 //! shed *rate* is the observable overload signal.
 
+use pcm_memsim::shard::RANK_SEED_STRIDE;
 use pcm_memsim::{
     AccessKind, MemRequest, MemoryController, PcmMainMemory, ReadEnqueue, SystemConfig,
     UniformRandomContent, WriteAdmit, WriteCache, WriteCacheStats,
@@ -32,9 +33,6 @@ use pcm_memsim::{
 use pcm_telemetry::{OpKind, Telemetry, TelemetryEvent, TraceDetail};
 use pcm_types::{AddrMap, PcmError, PhysAddr, Ps};
 use std::collections::BTreeSet;
-
-/// Per-rank content-seed perturbation (matches the experiments runner).
-const RANK_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Request id reserved for background write-cache drains, so their bank
 /// completions are never reported to a submitter.

@@ -11,7 +11,7 @@
 //! driver needs completion feedback and therefore runs an engine
 //! directly.
 
-use crate::engine::{Admission, ServeConfig, ServeEngine};
+use crate::engine::{Admission, ServeEngine};
 use crate::proto::WireRequest;
 use pcm_memsim::AccessKind;
 use pcm_types::rng::{Rng, SmallRng};
@@ -262,21 +262,10 @@ impl ClosedLoop {
     }
 }
 
-/// Convenience: build an engine and run a closed-loop population on it,
-/// returning the engine for stats/telemetry inspection.
-pub fn run_closed_loop(
-    serve: ServeConfig,
-    load: ClosedLoopConfig,
-    tel: Box<dyn pcm_telemetry::Telemetry>,
-) -> Result<(ServeEngine, ClosedLoopStats), PcmError> {
-    let mut engine = ServeEngine::new(serve, tel)?;
-    let stats = ClosedLoop::new(load).run(&mut engine)?;
-    Ok((engine, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ServeConfig;
     use pcm_telemetry::NullSink;
 
     fn small_system(ranks: u32) -> ServeConfig {

@@ -3,21 +3,15 @@
 //! A sharded simulation runs one [`crate::Telemetry`] producer per rank on
 //! the experiment thread pool. Writing JSONL synchronously from each rank
 //! would serialize the ranks on the output file; instead every rank gets an
-//! [`AsyncRankSink`] — a cheap handle over a **bounded channel** (the
-//! ring-buffer stage; a full channel applies backpressure rather than
-//! dropping events) — and a single background thread owned by
-//! [`AsyncTraceWriter`] drains all ranks into one writer, tagging each
-//! line with its rank so [`read_tagged_events`] can split the stream
-//! again.
-//!
-//! [`RingBufferSink`] is the always-on variant from the ROADMAP: a
-//! fixed-capacity in-memory ring of the most recent coarse events that a
-//! crashed or finished run can dump post-mortem.
+//! [`AsyncRankSink`] — a cheap handle over a **bounded channel** (a full
+//! channel applies backpressure rather than dropping events) — and a
+//! single background thread owned by [`AsyncTraceWriter`] drains all ranks
+//! into one writer, tagging each line with its rank so
+//! [`read_tagged_events`] can split the stream again.
 
 use crate::event::{TelemetryEvent, TraceDetail};
 use crate::sink::Telemetry;
 use pcm_types::{Json, JsonCodec};
-use std::collections::VecDeque;
 use std::io::{self, BufRead, Write};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
@@ -191,83 +185,6 @@ impl Drop for AsyncRankSink {
     }
 }
 
-/// Always-on, fixed-capacity ring of the most recent events.
-///
-/// Keeps recording forever at O(1) memory by discarding the oldest event
-/// when full — the ROADMAP's "always-on Coarse ring buffer + post-mortem
-/// dump". [`RingBufferSink::dump`] writes the surviving window as JSONL.
-#[derive(Debug)]
-pub struct RingBufferSink {
-    ring: VecDeque<TelemetryEvent>,
-    capacity: usize,
-    dropped: u64,
-    level: TraceDetail,
-}
-
-impl RingBufferSink {
-    /// A Coarse-detail ring keeping the last `capacity` events.
-    pub fn new(capacity: usize) -> RingBufferSink {
-        RingBufferSink::with_detail(capacity, TraceDetail::Coarse)
-    }
-
-    /// A ring keeping the last `capacity` events up to `level`.
-    pub fn with_detail(capacity: usize, level: TraceDetail) -> RingBufferSink {
-        RingBufferSink {
-            ring: VecDeque::with_capacity(capacity.max(1)),
-            capacity: capacity.max(1),
-            dropped: 0,
-            level,
-        }
-    }
-
-    /// The surviving window, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TelemetryEvent> {
-        self.ring.iter()
-    }
-
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether nothing has been recorded (or everything was dropped).
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Events evicted to make room since creation.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Post-mortem dump: write the surviving window as JSONL.
-    pub fn dump<W: Write>(&self, w: &mut W) -> io::Result<u64> {
-        let mut n = 0u64;
-        for ev in &self.ring {
-            writeln!(w, "{}", ev.to_json_string())?;
-            n += 1;
-        }
-        Ok(n)
-    }
-}
-
-impl Telemetry for RingBufferSink {
-    fn detail(&self) -> Option<TraceDetail> {
-        Some(self.level)
-    }
-
-    fn record(&mut self, ev: &TelemetryEvent) {
-        if !self.wants(ev.detail()) {
-            return;
-        }
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(ev.clone());
-    }
-}
-
 /// Parse a JSONL trace whose lines may carry a `rank` tag (as written by
 /// [`AsyncTraceWriter`]). Untagged lines — e.g. from a plain
 /// [`crate::JsonlSink`] — decode as rank 0, so single-rank traces read
@@ -356,36 +273,5 @@ mod tests {
         let bytes = sink.finish().unwrap();
         let tagged = read_tagged_events(&bytes[..]).unwrap();
         assert_eq!(tagged, vec![(0, ev(7))]);
-    }
-
-    #[test]
-    fn ring_keeps_most_recent_window() {
-        let mut ring = RingBufferSink::with_detail(3, TraceDetail::Fine);
-        for i in 0..10 {
-            ring.record(&ev(i));
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 7);
-        let ats: Vec<u64> = ring
-            .events()
-            .filter_map(|e| e.at().map(|p| p.as_ps()))
-            .collect();
-        assert_eq!(ats, vec![7, 8, 9], "oldest evicted first");
-        let mut out = Vec::new();
-        assert_eq!(ring.dump(&mut out).unwrap(), 3);
-        assert_eq!(read_events(&out[..]).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn ring_default_level_is_coarse() {
-        let mut ring = RingBufferSink::new(8);
-        ring.record(&TelemetryEvent::QueueDepth {
-            at: Ps(1),
-            reads: 1,
-            writes: 1,
-        });
-        assert!(ring.is_empty(), "fine events dropped at Coarse level");
-        ring.record(&ev(2));
-        assert_eq!(ring.len(), 1);
     }
 }

@@ -34,7 +34,7 @@ pub mod sink;
 pub mod stats;
 pub mod summary;
 
-pub use async_sink::{read_tagged_events, AsyncRankSink, AsyncTraceWriter, RingBufferSink};
+pub use async_sink::{read_tagged_events, AsyncRankSink, AsyncTraceWriter};
 pub use event::{OpKind, TelemetryEvent, TraceDetail};
 pub use sink::{read_events, read_events_str, JsonlSink, MemorySink, NullSink, Telemetry};
 pub use stats::{Counter, Histogram};
