@@ -274,6 +274,12 @@ impl PcmMainMemory {
         Ok(line)
     }
 
+    /// Count one serviced line read whose contents the caller does not
+    /// need (the controller's read path models timing only).
+    pub fn count_read(&mut self) {
+        self.stats.reads += 1;
+    }
+
     /// Service a line write with the configured scheme; returns its cost.
     pub fn write_line(&mut self, addr: PhysAddr, new: &LineData) -> Result<WriteOutcome, PcmError> {
         if new.len() != self.line_len() {

@@ -92,6 +92,14 @@ impl AddrMap {
     /// the exact inverse of [`decode`][Self::decode]. The `line` field of
     /// the input is ignored; it is recomputed from the coordinates.
     pub fn encode(&self, d: &DecodedAddr) -> Result<PhysAddr, crate::PcmError> {
+        Ok(self.recode(d)?.line * self.org.cache_line_bytes as u64)
+    }
+
+    /// `decode(encode(d))` in one step: check the coordinates against this
+    /// map's geometry and recompute `line` from them (the input's `line`
+    /// is ignored). Re-addressing a decode from a multi-rank map into a
+    /// rank-local map is `recode` with `rank: 0`.
+    pub fn recode(&self, d: &DecodedAddr) -> Result<DecodedAddr, crate::PcmError> {
         if d.rank >= self.org.ranks
             || d.bank >= self.org.banks_per_rank
             || d.col >= self.lines_per_row
@@ -100,23 +108,24 @@ impl AddrMap {
                 "encode: coordinate exceeds organization geometry",
             ));
         }
-        let addr = d
+        let line = d
             .row
             .checked_mul(self.lines_per_row as u64)
             .and_then(|v| v.checked_add(d.col as u64))
             .and_then(|v| v.checked_mul(self.org.ranks as u64))
             .and_then(|v| v.checked_add(d.rank as u64))
             .and_then(|v| v.checked_mul(self.org.banks_per_rank as u64))
-            .and_then(|v| v.checked_add(d.bank as u64))
+            .and_then(|v| v.checked_add(d.bank as u64));
+        let addr = line
             .and_then(|v| v.checked_mul(self.org.cache_line_bytes as u64))
             .unwrap_or(u64::MAX);
-        if addr >= self.org.capacity_bytes {
-            return Err(crate::PcmError::AddressOutOfRange {
+        match line {
+            Some(line) if addr < self.org.capacity_bytes => Ok(DecodedAddr { line, ..*d }),
+            _ => Err(crate::PcmError::AddressOutOfRange {
                 addr,
                 capacity: self.org.capacity_bytes,
-            });
+            }),
         }
-        Ok(addr)
     }
 
     /// Align an address down to its cache-line base.
@@ -207,6 +216,35 @@ mod tests {
             let d = m.decode(addr).unwrap();
             assert_eq!(m.encode(&d).unwrap(), addr);
         }
+    }
+
+    #[test]
+    fn recode_is_decode_of_encode() {
+        let global = AddrMap::with_default_rows(MemOrg {
+            ranks: 4,
+            ..MemOrg::paper_baseline()
+        })
+        .unwrap();
+        let local = AddrMap::with_default_rows(MemOrg {
+            ranks: 1,
+            capacity_bytes: MemOrg::paper_baseline().capacity_bytes / 4,
+            ..MemOrg::paper_baseline()
+        })
+        .unwrap();
+        for i in (0..1u64 << 20).step_by(997) {
+            let d = global.decode(i * 64).unwrap();
+            let ld = DecodedAddr { rank: 0, ..d };
+            let via_addr = local.decode(local.encode(&ld).unwrap()).unwrap();
+            assert_eq!(local.recode(&ld).unwrap(), via_addr);
+        }
+        let past = DecodedAddr {
+            row: u64::MAX / 2,
+            ..local.decode(0).unwrap()
+        };
+        assert_eq!(
+            local.recode(&past).unwrap_err().to_string(),
+            local.encode(&past).unwrap_err().to_string()
+        );
     }
 
     #[test]

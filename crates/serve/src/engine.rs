@@ -31,8 +31,9 @@ use pcm_memsim::{
     UniformRandomContent, WriteAdmit, WriteCache, WriteCacheStats,
 };
 use pcm_telemetry::{OpKind, Telemetry, TelemetryEvent, TraceDetail};
-use pcm_types::{AddrMap, PcmError, PhysAddr, Ps};
-use std::collections::BTreeSet;
+use pcm_types::{AddrMap, DecodedAddr, PcmError, PhysAddr, Ps};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Request id reserved for background write-cache drains, so their bank
 /// completions are never reported to a submitter.
@@ -130,9 +131,10 @@ pub struct ServeEngine {
     tel: Box<dyn Telemetry>,
     now: Ps,
     next_id: u64,
-    /// Outstanding bank completions: `(time, rank, bank, epoch)`. A
-    /// `BTreeSet` pops in deterministic (time, rank, bank) order.
-    pending: BTreeSet<(Ps, u32, usize, u64)>,
+    /// Outstanding bank completions: `(time, rank, bank, epoch)`, popped
+    /// smallest first — a deterministic (time, rank, bank) order. Epochs
+    /// are unique, so no two entries tie.
+    pending: BinaryHeap<Reverse<(Ps, u32, usize, u64)>>,
     done: Vec<Completion>,
     stats: ServeStats,
 }
@@ -193,7 +195,7 @@ impl ServeEngine {
             tel,
             now: Ps::ZERO,
             next_id: 0,
-            pending: BTreeSet::new(),
+            pending: BinaryHeap::new(),
             done: Vec::new(),
             stats: ServeStats::default(),
         })
@@ -210,9 +212,10 @@ impl ServeEngine {
     }
 
     /// Completions recorded since the last call (submission order of the
-    /// underlying bank events — deterministic).
-    pub fn take_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.done)
+    /// underlying bank events — deterministic). The buffer keeps its
+    /// capacity for the next batch.
+    pub fn take_completions(&mut self) -> std::vec::Drain<'_, Completion> {
+        self.done.drain(..)
     }
 
     /// Submit one request arriving at `at` (simulated). Arrival times
@@ -233,10 +236,8 @@ impl ServeEngine {
         let addr = (addr % self.cfg.system.mem.org.capacity_bytes) / line * line;
         let d = self.global.decode(addr)?;
         let rank = d.rank as usize;
-        let mut ld = d;
-        ld.rank = 0;
-        let local_addr = self.local.encode(&ld)?;
-        let dl = self.local.decode(local_addr)?;
+        let dl = self.local.recode(&DecodedAddr { rank: 0, ..d })?;
+        let local_addr = dl.line * line;
         let flat = self.local.flat_bank(&dl);
         let (read_depth, write_depth) = self.lanes[rank].ctrl.queue_depths();
         self.stats.peak_read_depth = self.stats.peak_read_depth.max(read_depth);
@@ -382,8 +383,8 @@ impl ServeEngine {
                 self.issue(rank)?;
             }
         }
-        match self.pending.iter().next().copied() {
-            Some((t, _, _, _)) => {
+        match self.pending.peek() {
+            Some(&Reverse((t, _, _, _))) => {
                 self.advance_to(t)?;
                 Ok(true)
             }
@@ -495,11 +496,11 @@ impl ServeEngine {
     /// Process all bank completions scheduled at or before `t`, then move
     /// the clock to `t`.
     fn advance_to(&mut self, t: Ps) -> Result<(), PcmError> {
-        while let Some(&(ct, rank, bank, epoch)) = self.pending.iter().next() {
+        while let Some(&Reverse((ct, rank, bank, epoch))) = self.pending.peek() {
             if ct > t {
                 break;
             }
-            self.pending.remove(&(ct, rank, bank, epoch));
+            self.pending.pop();
             self.now = self.now.max(ct);
             let rank = rank as usize;
             let reqs = self.lanes[rank].ctrl.complete(bank, epoch);
@@ -539,7 +540,7 @@ impl ServeEngine {
                 .try_issue(now, &mut lane.memory, &mut lane.content, self.tel.as_mut());
         for i in issued {
             self.pending
-                .insert((i.completion, rank as u32, i.bank, i.epoch));
+                .push(Reverse((i.completion, rank as u32, i.bank, i.epoch)));
         }
         Ok(())
     }
@@ -592,7 +593,7 @@ mod tests {
             t += Ps::from_ns(100);
         }
         e.drain().unwrap();
-        let done = e.take_completions();
+        let done = e.take_completions().collect::<Vec<_>>();
         assert_eq!(done.len(), 64);
         assert!(done.iter().all(|c| c.latency > Ps::ZERO));
         assert_eq!(e.stats().served, 64);
@@ -637,7 +638,11 @@ mod tests {
                 t += Ps::from_ns(40);
             }
             e.drain().unwrap();
-            (e.stats().served, e.stats().shed, e.take_completions())
+            (
+                e.stats().served,
+                e.stats().shed,
+                e.take_completions().collect::<Vec<_>>(),
+            )
         };
         let (s1, d1, c1) = run();
         let (s2, d2, c2) = run();
@@ -699,7 +704,7 @@ mod tests {
             (
                 e.stats().served,
                 e.write_cache_stats().unwrap(),
-                e.take_completions(),
+                e.take_completions().collect::<Vec<_>>(),
             )
         };
         let (served, wc, c1) = run();

@@ -23,7 +23,7 @@
 use pcm_memsim::{AccessKind, RequestSource, TraceOp};
 use pcm_types::Ps;
 use std::fmt;
-use std::io::BufRead;
+use std::io::{self, BufRead, Write};
 
 /// One parsed request line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,7 +60,84 @@ fn bad(msg: impl Into<String>) -> ProtoError {
 }
 
 /// Parse one request line. Empty lines and `#` comments return `None`.
+///
+/// A line in the canonical shape `req <id> <tenant> r|w <addr> <at-ns>`
+/// (single spaces, plain decimal digits) is parsed straight from its
+/// bytes; anything else — extra whitespace, tabs, a leading `+`, a
+/// malformed field — goes through the general tokenizer, so every line
+/// parses (or fails, with the same message) exactly as the grammar says.
 pub fn parse_request(line: &str) -> Result<Option<WireRequest>, ProtoError> {
+    parse_line(line.as_bytes())
+}
+
+/// [`parse_request`] over the raw bytes of one line, as read off the
+/// wire (a trailing `\n` or `\r\n` is allowed). A line that is not valid
+/// UTF-8 is an error like any other malformed line.
+pub(crate) fn parse_line(line: &[u8]) -> Result<Option<WireRequest>, ProtoError> {
+    if let Some(r) = parse_canonical(line) {
+        return Ok(Some(r));
+    }
+    match std::str::from_utf8(line) {
+        Ok(text) => parse_general(text),
+        Err(_) => Err(bad("line is not valid UTF-8")),
+    }
+}
+
+/// Read one line (through its `\n`, if any) into `buf`, replacing its
+/// contents; `Ok(false)` at end of input. The one reader behind
+/// `serve_connection` and [`LineSource`].
+pub(crate) fn read_line<R: BufRead>(input: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
+    buf.clear();
+    Ok(input.read_until(b'\n', buf)? > 0)
+}
+
+/// The canonical request shape, or `None` for anything else (including a
+/// number that overflows its field — the general parser words the error).
+fn parse_canonical(line: &[u8]) -> Option<WireRequest> {
+    let line = line.strip_suffix(b"\n").unwrap_or(line);
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    let rest = line.strip_prefix(b"req ")?;
+    let (id, rest) = decimal(rest, b' ')?;
+    let (tenant, rest) = decimal(rest, b' ')?;
+    let (kind, rest) = match rest {
+        [b'r', b' ', rest @ ..] => (AccessKind::Read, rest),
+        [b'w', b' ', rest @ ..] => (AccessKind::Write, rest),
+        _ => return None,
+    };
+    let (addr, rest) = decimal(rest, b' ')?;
+    let (at_ns, rest) = decimal_end(rest)?;
+    rest.is_empty().then_some(WireRequest {
+        id,
+        tenant: u32::try_from(tenant).ok()?,
+        kind,
+        addr,
+        at_ns,
+    })
+}
+
+/// A run of decimal digits followed by `sep`: the value and what follows
+/// the separator.
+fn decimal(s: &[u8], sep: u8) -> Option<(u64, &[u8])> {
+    let (v, rest) = decimal_end(s)?;
+    Some((v, rest.strip_prefix(&[sep])?))
+}
+
+/// A non-empty run of decimal digits that fits a `u64`: the value and the
+/// bytes after it.
+fn decimal_end(s: &[u8]) -> Option<(u64, &[u8])> {
+    let n = s.iter().take_while(|b| b.is_ascii_digit()).count();
+    if n == 0 {
+        return None;
+    }
+    let v = s[..n].iter().try_fold(0u64, |v, &b| {
+        v.checked_mul(10)?.checked_add(u64::from(b - b'0'))
+    })?;
+    Some((v, &s[n..]))
+}
+
+/// The tokenizing parser: the grammar in full, with an error message for
+/// every way a line can be malformed.
+fn parse_general(line: &str) -> Result<Option<WireRequest>, ProtoError> {
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
@@ -105,33 +182,128 @@ pub fn parse_request(line: &str) -> Result<Option<WireRequest>, ProtoError> {
     }))
 }
 
+/// Bytes of the longest line the protocol renders: `done` with three
+/// 20-digit counters (a request line is at most 79).
+const LINE_CAP: usize = 96;
+
+/// One protocol line rendered into a stack buffer — the only formatting
+/// code for requests and responses. [`Line::send`] appends the newline
+/// and writes the line with one `write_all`.
+pub(crate) struct Line {
+    buf: [u8; LINE_CAP],
+    len: usize,
+}
+
+impl Line {
+    fn new(verb: &str) -> Line {
+        let mut line = Line {
+            buf: [0; LINE_CAP],
+            len: 0,
+        };
+        line.push(verb.as_bytes());
+        line
+    }
+
+    fn push(&mut self, bytes: &[u8]) {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    /// Append `sep` then `n` in decimal.
+    fn num(mut self, sep: &str, n: u64) -> Line {
+        self.push(sep.as_bytes());
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut n = n;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.push(&digits[at..]);
+        self
+    }
+
+    /// The line's bytes, without a newline.
+    fn as_bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+
+    /// The line as text, without a newline (every rendered byte is
+    /// ASCII, so the conversion is exact).
+    fn into_string(self) -> String {
+        String::from_utf8_lossy(self.as_bytes()).into_owned()
+    }
+
+    /// Write the line and its newline to `out`.
+    pub(crate) fn send<W: Write>(mut self, out: &mut W) -> io::Result<()> {
+        self.push(b"\n");
+        out.write_all(self.as_bytes())
+    }
+}
+
+/// The line [`format_request`] renders.
+fn request_line(r: &WireRequest) -> Line {
+    let kind = match r.kind {
+        AccessKind::Read => " r ",
+        AccessKind::Write => " w ",
+    };
+    Line::new("req")
+        .num(" ", r.id)
+        .num(" ", u64::from(r.tenant))
+        .num(kind, r.addr)
+        .num(" ", r.at_ns)
+}
+
+/// The line [`format_ack`] renders.
+pub(crate) fn ack_line(id: u64) -> Line {
+    Line::new("ack").num(" ", id)
+}
+
+/// The line [`format_ok`] renders.
+pub(crate) fn ok_line(id: u64, latency_ps: u64) -> Line {
+    Line::new("ok").num(" ", id).num(" ", latency_ps)
+}
+
+/// The line [`format_shed`] renders.
+pub(crate) fn shed_line(id: u64, depth: usize) -> Line {
+    Line::new("shed").num(" ", id).num(" ", depth as u64)
+}
+
+/// The line [`format_done`] renders.
+pub(crate) fn done_line(served: u64, shed: u64, peak_write_depth: usize) -> Line {
+    Line::new("done")
+        .num(" served=", served)
+        .num(" shed=", shed)
+        .num(" peakw=", peak_write_depth as u64)
+}
+
 /// Render a request line (the inverse of [`parse_request`]).
 pub fn format_request(r: &WireRequest) -> String {
-    let k = match r.kind {
-        AccessKind::Read => "r",
-        AccessKind::Write => "w",
-    };
-    format!("req {} {} {} {} {}", r.id, r.tenant, k, r.addr, r.at_ns)
+    request_line(r).into_string()
 }
 
 /// `ack <id>` — admitted.
 pub fn format_ack(id: u64) -> String {
-    format!("ack {id}")
+    ack_line(id).into_string()
 }
 
 /// `ok <id> <latency-ps>` — served.
 pub fn format_ok(id: u64, latency_ps: u64) -> String {
-    format!("ok {id} {latency_ps}")
+    ok_line(id, latency_ps).into_string()
 }
 
 /// `shed <id> <depth>` — refused by admission control.
 pub fn format_shed(id: u64, depth: usize) -> String {
-    format!("shed {id} {depth}")
+    shed_line(id, depth).into_string()
 }
 
 /// `done served=<n> shed=<n> peakw=<n>` — end-of-connection summary.
 pub fn format_done(served: u64, shed: u64, peak_write_depth: usize) -> String {
-    format!("done served={served} shed={shed} peakw={peak_write_depth}")
+    done_line(served, shed, peak_write_depth).into_string()
 }
 
 /// A [`RequestSource`] that pulls protocol lines off any [`BufRead`] — a
@@ -145,6 +317,7 @@ pub fn format_done(served: u64, shed: u64, peak_write_depth: usize) -> String {
 /// (the error is retrievable via [`LineSource::error`]).
 pub struct LineSource<R: BufRead> {
     input: R,
+    line: Vec<u8>,
     freq_mhz: u64,
     last_ns: u64,
     error: Option<ProtoError>,
@@ -156,6 +329,7 @@ impl<R: BufRead> LineSource<R> {
     pub fn new(input: R, freq_mhz: u64) -> Self {
         LineSource {
             input,
+            line: Vec::new(),
             freq_mhz,
             last_ns: 0,
             error: None,
@@ -175,20 +349,19 @@ impl<R: BufRead + Send> RequestSource for LineSource<R> {
             return None;
         }
         loop {
-            let mut line = String::new();
-            match self.input.read_line(&mut line) {
-                Ok(0) => {
+            match read_line(&mut self.input, &mut self.line) {
+                Ok(false) => {
                     self.finished = true;
                     return None;
                 }
-                Ok(_) => {}
+                Ok(true) => {}
                 Err(e) => {
                     self.error = Some(bad(format!("read failed: {e}")));
                     self.finished = true;
                     return None;
                 }
             }
-            match parse_request(&line) {
+            match parse_line(&self.line) {
                 Ok(None) => continue,
                 Ok(Some(r)) => {
                     let gap_ns = r.at_ns.saturating_sub(self.last_ns);
@@ -213,6 +386,8 @@ impl<R: BufRead + Send> RequestSource for LineSource<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcm_types::propcheck::{any_bool, any_u64, one_of, vec_of};
+    use pcm_types::{prop_assert_eq, propcheck};
     use std::io::BufReader;
 
     #[test]
@@ -250,6 +425,163 @@ mod tests {
         assert_eq!(format_ok(3, 431_000), "ok 3 431000");
         assert_eq!(format_shed(4, 32), "shed 4 32");
         assert_eq!(format_done(10, 2, 31), "done served=10 shed=2 peakw=31");
+    }
+
+    #[test]
+    fn canonical_shape_takes_the_fast_path() {
+        let r = parse_canonical(b"req 18446744073709551615 4294967295 w 0 12\r\n").unwrap();
+        assert_eq!(
+            (r.id, r.tenant, r.kind),
+            (u64::MAX, u32::MAX, AccessKind::Write)
+        );
+        assert_eq!((r.addr, r.at_ns), (0, 12));
+        for line in [
+            "req +7 0 r 64 0",
+            "req 7 0 r 64 0 ",
+            "req\t7 0 r 64 0",
+            "req 7 4294967296 r 64 0",
+            "req 18446744073709551616 0 r 64 0",
+            "req 7 0 r 64",
+        ] {
+            assert_eq!(parse_canonical(line.as_bytes()), None, "{line:?}");
+        }
+        assert_eq!(parse_request("req +7 0 r 64 0").unwrap().unwrap().id, 7);
+    }
+
+    #[test]
+    fn non_utf8_line_is_an_error() {
+        let e = parse_line(b"req 1 0 r \xff 0\n").unwrap_err();
+        assert_eq!(e.msg, "line is not valid UTF-8");
+        assert!(parse_line(b"req 1 0 r 64 0\n").unwrap().is_some());
+    }
+
+    /// The general parser over raw bytes: what `parse_line` must equal.
+    fn reference(line: &[u8]) -> Result<Option<WireRequest>, ProtoError> {
+        match std::str::from_utf8(line) {
+            Ok(text) => parse_general(text),
+            Err(_) => Err(bad("line is not valid UTF-8")),
+        }
+    }
+
+    /// Field texts the fuzzed lines draw from: boundary numbers, signs,
+    /// leading zeros, overflow, kinds, and junk.
+    const FIELDS: &[&str] = &[
+        "0",
+        "7",
+        "+7",
+        "0007",
+        "-1",
+        "18446744073709551615",
+        "18446744073709551616",
+        "99999999999999999999",
+        "000000000000000000000000042",
+        "4294967295",
+        "4294967296",
+        "r",
+        "w",
+        "x",
+        "rw",
+        "req",
+        "#",
+        "",
+        "1e3",
+        "٣",
+    ];
+    /// Separators: the canonical space and every way whitespace can vary.
+    const SEPS: &[&str] = &[" ", " ", " ", "  ", "\t", " \t ", "\u{a0}", "\u{3000}", ""];
+    /// Line endings and trailers.
+    const ENDS: &[&str] = &[
+        "", "\n", "\r\n", "\r", " ", "\t\n", " extra", " 5\n", "\r\r\n",
+    ];
+
+    fn number_text(n: u64, style: u64) -> String {
+        match style {
+            0 => format!("+{n}"),
+            1 => format!("00{n}"),
+            _ => n.to_string(),
+        }
+    }
+
+    propcheck! {
+        cases = 512;
+        /// Lines assembled from random verbs, fields, separators and
+        /// endings parse the same through the fast path as through the
+        /// general parser, accepted or rejected.
+        fn fast_path_equals_general_parser(
+            verb in 0usize..=3,
+            fields in vec_of(
+                (0usize..=2 * FIELDS.len(), any_u64(), 0u64..=4, 0usize..=SEPS.len() - 1),
+                0..=7
+            ),
+            end in 0usize..=ENDS.len() - 1
+        ) {
+            let mut line = ["req", "get", "", "  req"][verb].to_string();
+            for (k, (field, n, style, sep)) in fields.iter().enumerate() {
+                line.push_str(if k < 2 { " " } else { SEPS[*sep] });
+                match FIELDS.get(*field) {
+                    Some(text) => line.push_str(text),
+                    None => line.push_str(&number_text(*n, *style)),
+                }
+            }
+            line.push_str(ENDS[end]);
+            prop_assert_eq!(parse_request(&line), parse_general(&line), "{:?}", line);
+            prop_assert_eq!(parse_line(line.as_bytes()), reference(line.as_bytes()), "{:?}", line);
+        }
+
+        /// Canonical lines with one byte replaced (or cut short) parse the
+        /// same through both paths, invalid UTF-8 included.
+        fn mutated_canonical_lines_agree(
+            id in any_u64(),
+            tenant in 0u64..=u32::MAX as u64 + 3,
+            write in any_bool(),
+            addr_at in (any_u64(), any_u64()),
+            pos in 0usize..=80,
+            byte in one_of(&[b' ', b'\t', b'+', b'-', b'0', b'9', b'x', b'\r', b'\n', 0xff, 0xc3, 0])
+        ) {
+            let (addr, at) = addr_at;
+            let kind = if write { "w" } else { "r" };
+            let mut line = format!("req {id} {tenant} {kind} {addr} {at}\n").into_bytes();
+            let whole = parse_line(&line);
+            prop_assert_eq!(&whole, &reference(&line));
+            prop_assert_eq!(whole.is_ok(), tenant <= u32::MAX as u64);
+            if pos < line.len() {
+                line[pos] = byte;
+            } else {
+                line.truncate(pos % line.len());
+            }
+            prop_assert_eq!(parse_line(&line), reference(&line), "{:?}", String::from_utf8_lossy(&line));
+        }
+
+        /// Every byte writer renders exactly what the `format!` it
+        /// replaced rendered.
+        fn writers_equal_format(
+            id in any_u64(),
+            a in any_u64(),
+            b in any_u64(),
+            tenant in 0u64..=u32::MAX as u64,
+            write in any_bool()
+        ) {
+            let depth = b as usize;
+            prop_assert_eq!(format_ack(id), format!("ack {id}"));
+            prop_assert_eq!(format_ok(id, a), format!("ok {id} {a}"));
+            prop_assert_eq!(format_shed(id, depth), format!("shed {id} {depth}"));
+            prop_assert_eq!(
+                format_done(id, a, depth),
+                format!("done served={id} shed={a} peakw={depth}")
+            );
+            let r = WireRequest {
+                id,
+                tenant: tenant as u32,
+                kind: if write { AccessKind::Write } else { AccessKind::Read },
+                addr: a,
+                at_ns: b,
+            };
+            let k = if write { "w" } else { "r" };
+            prop_assert_eq!(format_request(&r), format!("req {id} {tenant} {k} {a} {b}"));
+            let mut sent = Vec::new();
+            ok_line(id, a).send(&mut sent).unwrap();
+            prop_assert_eq!(sent, format!("ok {id} {a}\n").into_bytes());
+        }
     }
 
     #[test]
