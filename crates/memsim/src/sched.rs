@@ -190,11 +190,6 @@ impl SchedPolicy {
         self.high
     }
 
-    /// Is least-utilized-first bank steering enabled?
-    pub fn steering_enabled(&self) -> bool {
-        self.cfg.bank_steering
-    }
-
     /// Record one write-queue depth observation. Every
     /// `watermark_interval` samples the marks are recomputed from the
     /// accumulated distribution; returns `Some((low, high))` when they
@@ -273,13 +268,11 @@ impl SchedPolicy {
     }
 
     /// The order in which the controller should visit banks this round:
-    /// index order normally, least-utilized-first under steering.
-    pub fn bank_order(&self, banks: &[BankState]) -> Vec<usize> {
-        if self.cfg.bank_steering {
-            BankState::least_utilized_order(banks)
-        } else {
-            (0..banks.len()).collect()
-        }
+    /// least-utilized-first under steering, `None` for index order.
+    pub fn bank_order(&self, banks: &[BankState]) -> Option<Vec<usize>> {
+        self.cfg
+            .bank_steering
+            .then(|| BankState::least_utilized_order(banks))
     }
 }
 
@@ -309,7 +302,7 @@ mod tests {
         let mut p = SchedPolicy::new(&ctrl, &PcmTimings::paper_baseline());
         assert_eq!(p.low_watermark(), ctrl.write_low_watermark);
         assert_eq!(p.high_watermark(), ctrl.write_queue_cap);
-        assert!(!p.steering_enabled());
+        assert_eq!(p.bank_order(&[BankState::default(); 2]), None);
         for d in [0usize, 5, 31, 32] {
             assert_eq!(p.observe_depth(d), None, "fixed mode never adapts");
         }
@@ -392,7 +385,7 @@ mod tests {
             &PcmTimings::paper_baseline(),
         );
         let banks = vec![BankState::default(); 4];
-        assert_eq!(p.bank_order(&banks), vec![0, 1, 2, 3]);
+        assert_eq!(p.bank_order(&banks), None, "index order");
     }
 
     propcheck! {
@@ -426,7 +419,7 @@ mod tests {
                 b.begin_write(Ps::ZERO, 0, Ps::from_ns(ns));
             }
             let p = adaptive_policy();
-            let order = p.bank_order(&banks);
+            let order = p.bank_order(&banks).unwrap();
             let mut sorted = order.clone();
             sorted.sort_unstable();
             prop_assert!(sorted == (0..banks.len()).collect::<Vec<_>>(), "not a permutation");
