@@ -30,8 +30,13 @@
 //!   synthesized at memory-write time (see DESIGN.md §5), letting workloads
 //!   reproduce the paper's Fig. 3 SET/RESET statistics exactly where the
 //!   schemes consume them.
-//! * [`system`] — wires cores + controller + memory and runs to completion,
-//!   producing the latency/IPC/runtime statistics of Figs. 11–14.
+//! * [`rank`] — one rank's core: controller, banks, write-cache slice and
+//!   address map behind one set of enqueue/drain/complete primitives,
+//!   shared by [`System`] and `pcm-serve`'s engine.
+//! * [`system`] — wires cores + hierarchy + one rank core and runs to
+//!   completion, producing the latency/IPC/runtime statistics of
+//!   Figs. 11–14.
+//! * [`shard`] — one [`System`] per PCM rank over a partitioned trace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,6 +51,7 @@ pub mod engine;
 pub mod hierarchy;
 pub mod memory;
 pub mod prelude;
+pub mod rank;
 pub mod replacement;
 pub mod request;
 pub mod sched;
@@ -63,6 +69,7 @@ pub use controller::{MemoryController, ReadEnqueue};
 pub use cpu::{Core, RequestSource, TraceOp, VecTrace};
 pub use memory::{BatchOutcome, PcmMainMemory, WriteOutcome};
 pub use pcm_schemes::{SchemeConfig, SchemeSelect, WriteCtx, WriteScheme};
+pub use rank::{CachedWrite, RankCore};
 pub use replacement::{ParsePolicyError, PolicySelect, ReplacementPolicy};
 pub use request::{AccessKind, MemRequest};
 pub use sched::{SchedConfig, SchedPolicy, WindowPoll};

@@ -13,11 +13,11 @@
 //! hierarchy uses, selected per cache by [`PolicySelect`].
 //!
 //! The tier is *engine-agnostic*: it never touches the event queue or
-//! telemetry. [`crate::System`] and `pcm-serve`'s engine own the
-//! scheduling and event emission; this module owns only the frame table,
-//! so both front ends share one coalescing model. `frames = 0` systems
-//! never construct a `WriteCache` at all — the pipeline is bit-for-bit
-//! the paper's.
+//! telemetry. [`crate::RankCore`] drives it (admission, read hits, the
+//! watermark drain and the telemetry of each) for both [`crate::System`]
+//! and `pcm-serve`'s engine; this module owns only the frame table.
+//! `frames = 0` systems never construct a `WriteCache` at all — the
+//! pipeline is bit-for-bit the paper's.
 //!
 //! [`PolicySelect`]: crate::replacement::PolicySelect
 
@@ -61,6 +61,20 @@ impl WriteCacheStats {
     }
 }
 
+impl std::ops::Add for WriteCacheStats {
+    type Output = WriteCacheStats;
+
+    /// Field-wise sum (combining several ranks' slices of the tier).
+    fn add(self, o: WriteCacheStats) -> WriteCacheStats {
+        WriteCacheStats {
+            coalesced: self.coalesced + o.coalesced,
+            admitted: self.admitted + o.admitted,
+            read_hits: self.read_hits + o.read_hits,
+            drained: self.drained + o.drained,
+        }
+    }
+}
+
 /// What [`WriteCache::write`] did with a write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WriteAdmit {
@@ -75,7 +89,7 @@ pub enum WriteAdmit {
 }
 
 /// The frame table. See the module docs for the model; see
-/// [`crate::System`] for the drain scheduling built on top.
+/// [`crate::RankCore`] for the drain built on top.
 #[derive(Clone, Debug)]
 pub struct WriteCache {
     frames: Vec<Frame>,
