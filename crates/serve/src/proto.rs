@@ -15,7 +15,8 @@
 //! ```
 //!
 //! `at-ns` is the request's arrival offset in **simulated** nanoseconds
-//! from the start of the connection; the server never consults the host
+//! from the start of the connection, at most [`MAX_AT_NS`] (~584 years,
+//! where the picosecond clock ends); the server never consults the host
 //! clock, so a replayed request file produces bit-identical responses.
 //! Client-chosen `id`s are echoed back verbatim and need not be dense,
 //! but must be unique per connection.
@@ -59,6 +60,15 @@ fn bad(msg: impl Into<String>) -> ProtoError {
     ProtoError { msg: msg.into() }
 }
 
+/// The largest `at-ns` whose arrival time fits the simulator's
+/// picosecond clock ([`Ps::from_ns`] would overflow past it).
+pub const MAX_AT_NS: u64 = u64::MAX / Ps::from_ns(1).as_ps();
+
+/// The one range check on `at-ns`, shared by both parse paths.
+fn at_ns_in_range(at_ns: u64) -> bool {
+    at_ns <= MAX_AT_NS
+}
+
 /// Parse one request line. Empty lines and `#` comments return `None`.
 ///
 /// A line in the canonical shape `req <id> <tenant> r|w <addr> <at-ns>`
@@ -92,7 +102,8 @@ pub(crate) fn read_line<R: BufRead>(input: &mut R, buf: &mut Vec<u8>) -> io::Res
 }
 
 /// The canonical request shape, or `None` for anything else (including a
-/// number that overflows its field — the general parser words the error).
+/// number that overflows its field or an `at-ns` past [`MAX_AT_NS`] — the
+/// general parser words the error).
 fn parse_canonical(line: &[u8]) -> Option<WireRequest> {
     let line = line.strip_suffix(b"\n").unwrap_or(line);
     let line = line.strip_suffix(b"\r").unwrap_or(line);
@@ -106,7 +117,7 @@ fn parse_canonical(line: &[u8]) -> Option<WireRequest> {
     };
     let (addr, rest) = decimal(rest, b' ')?;
     let (at_ns, rest) = decimal_end(rest)?;
-    rest.is_empty().then_some(WireRequest {
+    (rest.is_empty() && at_ns_in_range(at_ns)).then_some(WireRequest {
         id,
         tenant: u32::try_from(tenant).ok()?,
         kind,
@@ -170,6 +181,9 @@ fn parse_general(line: &str) -> Result<Option<WireRequest>, ProtoError> {
     let at_ns = field("at-ns")?
         .parse::<u64>()
         .map_err(|_| bad("at-ns must be a decimal u64"))?;
+    if !at_ns_in_range(at_ns) {
+        return Err(bad(format!("at-ns must be at most {MAX_AT_NS}")));
+    }
     if parts.next().is_some() {
         return Err(bad("trailing fields after at-ns"));
     }
@@ -449,6 +463,23 @@ mod tests {
     }
 
     #[test]
+    fn arrivals_past_the_picosecond_clock_are_rejected() {
+        let last = format!("req 1 0 r 64 {MAX_AT_NS}");
+        assert_eq!(parse_request(&last).unwrap().unwrap().at_ns, MAX_AT_NS);
+        assert_eq!(Ps::from_ns(MAX_AT_NS).as_ps(), MAX_AT_NS * 1_000);
+        for at in [MAX_AT_NS + 1, u64::MAX] {
+            for line in [format!("req 1 0 r 64 {at}"), format!("req  1 0 r 64 {at}")] {
+                let e = parse_request(&line).unwrap_err();
+                assert_eq!(
+                    e.msg,
+                    format!("at-ns must be at most {MAX_AT_NS}"),
+                    "{line}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn non_utf8_line_is_an_error() {
         let e = parse_line(b"req 1 0 r \xff 0\n").unwrap_err();
         assert_eq!(e.msg, "line is not valid UTF-8");
@@ -477,6 +508,9 @@ mod tests {
         "000000000000000000000000042",
         "4294967295",
         "4294967296",
+        "18446744073709550",
+        "18446744073709551",
+        "18446744073709552",
         "r",
         "w",
         "x",
@@ -534,16 +568,18 @@ mod tests {
             id in any_u64(),
             tenant in 0u64..=u32::MAX as u64 + 3,
             write in any_bool(),
-            addr_at in (any_u64(), any_u64()),
+            addr_at in (any_u64(), any_u64(), 0u64..=6, any_bool()),
             pos in 0usize..=80,
             byte in one_of(&[b' ', b'\t', b'+', b'-', b'0', b'9', b'x', b'\r', b'\n', 0xff, 0xc3, 0])
         ) {
-            let (addr, at) = addr_at;
+            // Half the arrivals sit within 3 ns of the `at-ns` limit.
+            let (addr, at, near, at_limit) = addr_at;
+            let at = if at_limit { MAX_AT_NS - 3 + near } else { at };
             let kind = if write { "w" } else { "r" };
             let mut line = format!("req {id} {tenant} {kind} {addr} {at}\n").into_bytes();
             let whole = parse_line(&line);
             prop_assert_eq!(&whole, &reference(&line));
-            prop_assert_eq!(whole.is_ok(), tenant <= u32::MAX as u64);
+            prop_assert_eq!(whole.is_ok(), tenant <= u32::MAX as u64 && at <= MAX_AT_NS);
             if pos < line.len() {
                 line[pos] = byte;
             } else {
