@@ -9,7 +9,8 @@
 //!   show up here).
 //! * `canonical/schemes/*` — per-write plan construction for the encoding
 //!   schemes with real planning work (PALP's slot packing, WIRE's coset
-//!   row search); the controller calls these on every serviced write.
+//!   row search, Tetris's read and analysis stages); the controller calls
+//!   these on every serviced write.
 //! * `canonical/workloads/*` — write-content synthesis: the vips content
 //!   model generating one line per iteration, the simulator's largest
 //!   host-time layer.
@@ -97,6 +98,10 @@ pub fn canonical_suite(c: &mut Criterion, quick: bool) {
         });
         g.bench_function("wire_plan", |b| {
             b.iter(|| black_box(WireWrite.plan(black_box(&ctx))))
+        });
+        let tetris = tetris_write::TetrisWrite::paper_baseline();
+        g.bench_function("tetris_plan", |b| {
+            b.iter(|| black_box(tetris.plan(black_box(&ctx))))
         });
         g.finish();
     }

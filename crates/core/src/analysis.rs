@@ -25,9 +25,17 @@
 //! budgets) are split into serial chunks — the paper assumes they never
 //! occur; chunking generalizes the algorithm without changing behaviour in
 //! the paper's regime.
+//!
+//! ### One packer, two consumers
+//! The first-fit-decreasing loops exist once, in a packer that hands each
+//! placement to a caller-supplied sink. [`analyze`] keeps every placement
+//! and the per-sub-slot current (Gantt charts, FSM jobs, validation);
+//! [`TetrisWrite::plan`](crate::TetrisWrite) keeps only `result` and
+//! `subresult`, which is all a write's service time needs, and allocates
+//! nothing for the lines the paper's configurations produce.
 
 use crate::config::TetrisConfig;
-use pcm_types::{LineDemand, PcmError, Ps};
+use pcm_types::{LineDemand, PcmError, Ps, UnitDemand, MAX_UNITS_PER_LINE};
 
 /// Which FSM a pulse belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,14 +82,23 @@ pub struct AnalysisResult {
 }
 
 impl AnalysisResult {
+    /// The schedule's two counts.
+    pub(crate) fn counts(&self) -> PackCounts {
+        PackCounts {
+            result: self.result,
+            subresult: self.subresult,
+            k: self.k,
+        }
+    }
+
     /// Fig. 10's metric: `result + subresult / K` serial write units.
     pub fn write_units_equiv(&self) -> f64 {
-        self.result as f64 + self.subresult as f64 / self.k as f64
+        self.counts().write_units_equiv()
     }
 
     /// Eq. 5 service time of the write phase (excludes read/analysis).
     pub fn write_time(&self, t_set: Ps) -> Ps {
-        t_set * self.result as u64 + (t_set / self.k as u64) * self.subresult as u64
+        self.counts().write_time(t_set)
     }
 
     /// Peak instantaneous current across all sub-slots.
@@ -139,68 +156,380 @@ impl AnalysisResult {
     /// timeline, and recomputed slot usage stays within budget and matches
     /// `slot_usage`.
     pub fn validate(&self, demand: &LineDemand) -> Result<(), PcmError> {
-        let slots = self.result as usize * self.k + self.subresult as usize;
-        if self.slot_usage.len() != slots {
+        check_schedule(
+            &self.placements,
+            &self.slot_usage,
+            self.counts(),
+            self.l,
+            self.budget,
+            demand,
+        )
+    }
+}
+
+/// Algorithm 2's two counts: write units taken by write-1s (`result`) and
+/// overflow sub-write-units appended for write-0s (`subresult`), with the
+/// `K` that converts between them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct PackCounts {
+    pub(crate) result: u32,
+    pub(crate) subresult: u32,
+    pub(crate) k: usize,
+}
+
+impl PackCounts {
+    /// Fig. 10's metric: `result + subresult / K` serial write units.
+    pub(crate) fn write_units_equiv(self) -> f64 {
+        self.result as f64 + self.subresult as f64 / self.k as f64
+    }
+
+    /// Eq. 5 service time of the write phase (excludes read/analysis).
+    pub(crate) fn write_time(self, t_set: Ps) -> Ps {
+        t_set * self.result as u64 + (t_set / self.k as u64) * self.subresult as u64
+    }
+
+    /// Sub-slots on the timeline: `result·K + subresult`.
+    fn slots(self) -> usize {
+        self.result as usize * self.k + self.subresult as usize
+    }
+}
+
+/// [`AnalysisResult::validate`] over borrowed parts, so that a schedule
+/// recorded without an [`AnalysisResult`] can be checked too. Allocates
+/// only on failure, or for a timeline longer than [`INLINE_SLOTS`].
+fn check_schedule(
+    placements: &[Placement],
+    slot_usage: &[u32],
+    counts: PackCounts,
+    l: u32,
+    budget: u32,
+    demand: &LineDemand,
+) -> Result<(), PcmError> {
+    let (k, slots) = (counts.k, counts.slots());
+    if slot_usage.len() != slots {
+        return Err(PcmError::IncompleteSchedule(format!(
+            "slot_usage length {} ≠ {slots}",
+            slot_usage.len()
+        )));
+    }
+    let mut recomputed = InlineVec::<u32, INLINE_SLOTS>::filled(0, slots);
+    let recomputed = recomputed.as_mut_slice();
+    let mut placed_sets = [0u32; MAX_UNITS_PER_LINE];
+    let mut placed_resets = [0u32; MAX_UNITS_PER_LINE];
+    for p in placements {
+        if p.unit >= demand.len() {
             return Err(PcmError::IncompleteSchedule(format!(
-                "slot_usage length {} ≠ {slots}",
-                self.slot_usage.len()
+                "placement names unit {} of a {}-unit line",
+                p.unit,
+                demand.len()
             )));
         }
-        let mut recomputed = vec![0u32; slots];
-        let mut placed_sets = vec![0u32; demand.len()];
-        let mut placed_resets = vec![0u32; demand.len()];
-        for p in &self.placements {
-            let span = match p.phase {
-                PulsePhase::Write1 => {
-                    if p.start_slot % self.k != 0 {
-                        return Err(PcmError::IncompleteSchedule(format!(
-                            "write-1 of unit {} not aligned to a write unit",
-                            p.unit
-                        )));
-                    }
-                    placed_sets[p.unit] += p.bits;
-                    debug_assert_eq!(p.current, p.bits);
-                    self.k
+        let span = match p.phase {
+            PulsePhase::Write1 => {
+                if p.start_slot % k != 0 {
+                    return Err(PcmError::IncompleteSchedule(format!(
+                        "write-1 of unit {} not aligned to a write unit",
+                        p.unit
+                    )));
                 }
-                PulsePhase::Write0 => {
-                    placed_resets[p.unit] += p.bits;
-                    debug_assert_eq!(p.current, p.bits * self.l);
-                    1
-                }
-            };
-            if p.start_slot + span > slots {
-                return Err(PcmError::IncompleteSchedule(format!(
-                    "placement of unit {} overruns the timeline",
-                    p.unit
-                )));
+                placed_sets[p.unit] += p.bits;
+                debug_assert_eq!(p.current, p.bits);
+                k
             }
-            #[allow(clippy::needless_range_loop)] // slot indices appear in the error
-            for s in p.start_slot..p.start_slot + span {
-                recomputed[s] += p.current;
-                if recomputed[s] > self.budget {
-                    return Err(PcmError::PowerBudgetViolation {
-                        slot: s,
-                        demand: recomputed[s],
-                        budget: self.budget,
-                    });
-                }
+            PulsePhase::Write0 => {
+                placed_resets[p.unit] += p.bits;
+                debug_assert_eq!(p.current, p.bits * l);
+                1
+            }
+        };
+        if p.start_slot + span > slots {
+            return Err(PcmError::IncompleteSchedule(format!(
+                "placement of unit {} overruns the timeline",
+                p.unit
+            )));
+        }
+        #[allow(clippy::needless_range_loop)] // slot indices appear in the error
+        for s in p.start_slot..p.start_slot + span {
+            recomputed[s] += p.current;
+            if recomputed[s] > budget {
+                return Err(PcmError::PowerBudgetViolation {
+                    slot: s,
+                    demand: recomputed[s],
+                    budget,
+                });
             }
         }
-        if recomputed != self.slot_usage {
-            return Err(PcmError::IncompleteSchedule(
-                "slot usage does not match placements".into(),
-            ));
-        }
-        for (i, u) in demand.units().iter().enumerate() {
-            if placed_sets[i] != u.sets || placed_resets[i] != u.resets {
-                return Err(PcmError::IncompleteSchedule(format!(
-                    "unit {i}: placed {}S/{}R, demanded {}S/{}R",
-                    placed_sets[i], placed_resets[i], u.sets, u.resets
-                )));
-            }
-        }
-        Ok(())
     }
+    if recomputed != slot_usage {
+        return Err(PcmError::IncompleteSchedule(
+            "slot usage does not match placements".into(),
+        ));
+    }
+    for (i, u) in demand.units().iter().enumerate() {
+        if placed_sets[i] != u.sets || placed_resets[i] != u.resets {
+            return Err(PcmError::IncompleteSchedule(format!(
+                "unit {i}: placed {}S/{}R, demanded {}S/{}R",
+                placed_sets[i], placed_resets[i], u.sets, u.resets
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Sub-slots the packer keeps on the stack. Enough for any line of up to
+/// 256 B at the baseline budget (128): first fit opens a write unit only
+/// when every open one is more than `128 − 32` full, so 32 flip-bounded
+/// units need at most 12 write units (96 sub-slots), and their write-0s
+/// at most 32 overflow sub-units. Longer timelines (the chunked demands of
+/// X2/X4-scale budgets) move to the heap through the same code.
+const INLINE_SLOTS: usize = 128;
+
+/// Write units the write-1 phase keeps on the stack (`INLINE_SLOTS / K`
+/// at the baseline `K = 8`, rounded up).
+const INLINE_WRITE_UNITS: usize = 16;
+
+/// A growable buffer whose first `N` elements live inline; pushing past
+/// `N` moves the contents to the heap once, after which it behaves as a
+/// `Vec`.
+struct InlineVec<T: Copy, const N: usize> {
+    inline: [T; N],
+    len: usize,
+    heap: Vec<T>,
+}
+
+impl<T: Copy, const N: usize> InlineVec<T, N> {
+    /// `len` copies of `fill`.
+    fn filled(fill: T, len: usize) -> Self {
+        let mut v = InlineVec {
+            inline: [fill; N],
+            len: len.min(N),
+            heap: Vec::new(),
+        };
+        for _ in N..len {
+            v.push(fill);
+        }
+        v
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn push(&mut self, x: T) {
+        if self.len < N {
+            self.inline[self.len] = x;
+        } else {
+            if self.len == N {
+                self.heap.extend_from_slice(&self.inline);
+            }
+            self.heap.push(x);
+        }
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[T] {
+        if self.len <= N {
+            &self.inline[..self.len]
+        } else {
+            &self.heap
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [T] {
+        if self.len <= N {
+            &mut self.inline[..self.len]
+        } else {
+            &mut self.heap
+        }
+    }
+}
+
+/// The units with a nonzero `count`, in index order — or, with
+/// `decreasing`, stably sorted by decreasing count, so that ties keep
+/// index order (first-fit-*decreasing*). Returns the indices and how many
+/// there are.
+fn unit_order(
+    units: &[UnitDemand],
+    count: impl Fn(&UnitDemand) -> u32,
+    decreasing: bool,
+) -> ([u8; MAX_UNITS_PER_LINE], usize) {
+    let mut order = [0u8; MAX_UNITS_PER_LINE];
+    let mut n = 0;
+    for (i, u) in units.iter().enumerate() {
+        if count(u) > 0 {
+            order[n] = i as u8;
+            n += 1;
+        }
+    }
+    if decreasing {
+        // Insertion sort: at most 32 keys, stable, allocation-free.
+        for i in 1..n {
+            let x = order[i];
+            let key = count(&units[x as usize]);
+            let mut j = i;
+            while j > 0 && count(&units[order[j - 1] as usize]) < key {
+                order[j] = order[j - 1];
+                j -= 1;
+            }
+            order[j] = x;
+        }
+    }
+    (order, n)
+}
+
+/// What the packer leaves besides its placements.
+struct Packed {
+    counts: PackCounts,
+    /// Current drawn in each sub-slot (`WUp`).
+    slots: InlineVec<u32, INLINE_SLOTS>,
+}
+
+/// Algorithm 2 — the one copy of its first-fit-decreasing loops. Every
+/// placement goes to `place`, in queue order; the caller decides whether
+/// to keep it.
+fn pack(
+    demand: &LineDemand,
+    cfg: &TetrisConfig,
+    mut place: impl FnMut(Placement),
+) -> Result<Packed, PcmError> {
+    let power = &cfg.scheme.power;
+    let k = cfg.scheme.timings.k_ratio() as usize;
+    let l = power.l_ratio;
+    let budget = power.budget_per_bank;
+    if budget < l {
+        return Err(PcmError::config("budget cannot source even one RESET"));
+    }
+    let units = demand.units();
+
+    // ---- write-1 packing (write-unit granularity) ----
+    // A SET chunk occupies all K sub-slots of its write unit, so until the
+    // write-0s arrive every sub-slot of a write unit carries the same
+    // current: one usage per write unit is the whole state.
+    let mut unit_usage = InlineVec::<u32, INLINE_WRITE_UNITS>::filled(0, 0);
+    let (order, n) = unit_order(units, |u| u.sets, cfg.sort_decreasing);
+    for &i in &order[..n] {
+        let i = i as usize;
+        let mut remaining = units[i].sets;
+        while remaining > 0 {
+            let chunk = remaining.min(budget);
+            // First write unit whose headroom fits the chunk.
+            let fit = unit_usage
+                .as_slice()
+                .iter()
+                .position(|&u| budget - u >= chunk);
+            let j = fit.unwrap_or_else(|| {
+                unit_usage.push(0);
+                unit_usage.len() - 1
+            });
+            unit_usage.as_mut_slice()[j] += chunk;
+            place(Placement {
+                unit: i,
+                phase: PulsePhase::Write1,
+                start_slot: j * k,
+                bits: chunk,
+                current: chunk,
+            });
+            remaining -= chunk;
+        }
+    }
+
+    // Paper's Algorithm 2 initializes `result ← 1`: a write always occupies
+    // at least one write unit.
+    if cfg.min_one_write_unit && unit_usage.len() == 0 {
+        unit_usage.push(0);
+    }
+    let result = unit_usage.len() as u32;
+
+    // ---- write-0 packing (sub-slot granularity) ----
+    let mut slots = InlineVec::<u32, INLINE_SLOTS>::filled(0, 0);
+    for &u in unit_usage.as_slice() {
+        for _ in 0..k {
+            slots.push(u);
+        }
+    }
+    // Ablation: without slack stealing, only overflow slots (after the
+    // write-1 region) may host write-0s.
+    let first = if cfg.steal_write0_slack {
+        0
+    } else {
+        result as usize * k
+    };
+    let max_resets_per_slot = (budget / l).max(1);
+    let (order, n) = unit_order(units, |u| u.resets, cfg.sort_decreasing);
+    for &i in &order[..n] {
+        let i = i as usize;
+        let mut remaining = units[i].resets;
+        while remaining > 0 {
+            let chunk_bits = remaining.min(max_resets_per_slot);
+            let need = chunk_bits * l;
+            let fit = slots.as_slice()[first..]
+                .iter()
+                .position(|&u| budget - u >= need);
+            let s = fit.map_or_else(
+                || {
+                    slots.push(0);
+                    slots.len() - 1
+                },
+                |p| p + first,
+            );
+            slots.as_mut_slice()[s] += need;
+            place(Placement {
+                unit: i,
+                phase: PulsePhase::Write0,
+                start_slot: s,
+                bits: chunk_bits,
+                current: need,
+            });
+            remaining -= chunk_bits;
+        }
+    }
+
+    let subresult = (slots.len() - result as usize * k) as u32;
+    Ok(Packed {
+        counts: PackCounts {
+            result,
+            subresult,
+            k,
+        },
+        slots,
+    })
+}
+
+/// Algorithm 2's counts alone — what a write's Eq. 5 service time needs.
+/// Runs the same packer as [`analyze`] but keeps no placement, so it
+/// allocates nothing for timelines of up to [`INLINE_SLOTS`] sub-slots.
+///
+/// Debug builds also record the schedule (on the stack, for such lines),
+/// validate it and check that it gives the same counts.
+pub(crate) fn pack_counts(demand: &LineDemand, cfg: &TetrisConfig) -> Result<PackCounts, PcmError> {
+    let counts = pack(demand, cfg, |_| {})?.counts;
+    #[cfg(debug_assertions)]
+    {
+        let empty = Placement {
+            unit: 0,
+            phase: PulsePhase::Write1,
+            start_slot: 0,
+            bits: 0,
+            current: 0,
+        };
+        let mut placed = InlineVec::<Placement, { 2 * MAX_UNITS_PER_LINE }>::filled(empty, 0);
+        let recorded = pack(demand, cfg, |p| placed.push(p))?;
+        assert_eq!(recorded.counts, counts, "recording changed the packing");
+        let power = &cfg.scheme.power;
+        let check = check_schedule(
+            placed.as_slice(),
+            recorded.slots.as_slice(),
+            counts,
+            power.l_ratio,
+            power.budget_per_bank,
+            demand,
+        );
+        assert!(
+            check.is_ok(),
+            "analysis produced invalid schedule: {check:?}"
+        );
+    }
+    Ok(counts)
 }
 
 /// Run Algorithm 2 over a line's demand.
@@ -217,6 +546,30 @@ impl AnalysisResult {
 /// assert_eq!(a.write_units_equiv(), 1.0);
 /// ```
 pub fn analyze(demand: &LineDemand, cfg: &TetrisConfig) -> Result<AnalysisResult, PcmError> {
+    let mut placements = Vec::with_capacity(demand.len() * 2);
+    let packed = pack(demand, cfg, |p| placements.push(p))?;
+    let power = &cfg.scheme.power;
+    let out = AnalysisResult {
+        result: packed.counts.result,
+        subresult: packed.counts.subresult,
+        placements,
+        slot_usage: packed.slots.as_slice().to_vec(),
+        k: packed.counts.k,
+        l: power.l_ratio,
+        budget: power.budget_per_bank,
+    };
+    debug_assert!(
+        out.validate(demand).is_ok(),
+        "analysis produced invalid schedule"
+    );
+    Ok(out)
+}
+
+/// Reference Algorithm 2 that the shared [`pack`] is tested against: heap
+/// `Vec`s for both orders and the slot usage, and each write unit's
+/// headroom taken as the minimum over its `K` sub-slots.
+#[cfg(test)]
+fn analyze_oracle(demand: &LineDemand, cfg: &TetrisConfig) -> Result<AnalysisResult, PcmError> {
     let power = &cfg.scheme.power;
     let k = cfg.scheme.timings.k_ratio() as usize;
     let l = power.l_ratio;
@@ -580,6 +933,21 @@ mod tests {
     }
 
     #[test]
+    fn spilled_timeline_matches_oracle() {
+        // Budget 8: each unit's 40 SETs take five full write units, so 40
+        // write units (320 sub-slots) outgrow both inline buffers.
+        let cfg = cfg_with_budget(8);
+        let d = demand(&[(40, 40); 8]);
+        let got = analyze(&d, &cfg).unwrap();
+        let want = analyze_oracle(&d, &cfg).unwrap();
+        assert!(got.slot_usage.len() > INLINE_SLOTS);
+        assert!(got.result as usize > INLINE_WRITE_UNITS);
+        assert_eq!(got.placements, want.placements);
+        assert_eq!(got.slot_usage, want.slot_usage);
+        assert_eq!(pack_counts(&d, &cfg).unwrap(), want.counts());
+    }
+
+    #[test]
     fn rejects_budget_below_one_reset() {
         let mut cfg = TetrisConfig::paper_baseline();
         cfg.scheme.power.budget_per_bank = 1; // < L = 2
@@ -605,9 +973,37 @@ mod tests {
             }
         }
         assert!(misaligned.validate(&d).is_err(), "misalignment detected");
+
+        let mut foreign = a.clone();
+        foreign.placements[0].unit = d.len();
+        assert!(foreign.validate(&d).is_err(), "unit outside the line");
     }
 
     propcheck! {
+        /// The shared packer places exactly what the reference packer
+        /// places — same counts, same placements in the same order, same
+        /// slot usage — and its count-only run agrees. Demands reach 64
+        /// bits per unit and budgets fall to 2, so many timelines overflow
+        /// the inline buffers onto the heap.
+        fn packer_matches_oracle(
+            units in vec_of((0u32..=64, 0u32..=64), 1..=16),
+            budget in one_of(&[128u32, 64, 32, 16, 8, 2]),
+            knobs in 0u32..8,
+        ) {
+            let mut cfg = cfg_with_budget(budget);
+            cfg.sort_decreasing = knobs & 1 != 0;
+            cfg.steal_write0_slack = knobs & 2 != 0;
+            cfg.min_one_write_unit = knobs & 4 != 0;
+            let d = demand(&units);
+            let got = analyze(&d, &cfg).unwrap();
+            let want = analyze_oracle(&d, &cfg).unwrap();
+            prop_assert_eq!(got.result, want.result);
+            prop_assert_eq!(got.subresult, want.subresult);
+            prop_assert_eq!(&got.placements, &want.placements);
+            prop_assert_eq!(&got.slot_usage, &want.slot_usage);
+            prop_assert_eq!(pack_counts(&d, &cfg).unwrap(), got.counts());
+        }
+
         /// Any demand with per-unit totals within the flip bound yields a
         /// valid schedule whose peak respects the budget.
         fn analysis_always_valid(

@@ -7,7 +7,7 @@
 //! as a [`pcm_types::LineDemand`].
 
 use pcm_schemes::WriteCtx;
-use pcm_types::{flip_units, FlippedLine, LineData, LineDemand};
+use pcm_types::{flip_encode, flip_units, FlippedLine, LineData, LineDemand, UnitDemand};
 
 /// Output of the read stage.
 #[derive(Clone, Debug)]
@@ -37,11 +37,30 @@ pub fn read_stage(ctx: &WriteCtx<'_>) -> ReadStageOutput {
     ReadStageOutput { flipped, demand }
 }
 
+/// Algorithm 1 reduced to what a write plan keeps: the stored bits, the
+/// new flip-tag bitmask and the demand — [`read_stage`]'s results without
+/// its per-unit decision record.
+pub(crate) fn read_counts(ctx: &WriteCtx<'_>) -> (LineData, u32, LineDemand) {
+    let (old, new) = (ctx.old_stored, ctx.new_logical);
+    assert_eq!(old.len(), new.len(), "read stage over unequal lines");
+    let mut stored = *new;
+    let mut flips = 0u32;
+    let mut demand = LineDemand::empty(new.num_units());
+    for (i, u) in demand.units_mut().iter_mut().enumerate() {
+        let d = flip_encode(old.unit(i), ctx.old_flips & (1 << i) != 0, new.unit(i));
+        stored.set_unit(i, d.stored);
+        flips |= (d.flip as u32) << i;
+        *u = UnitDemand::new(d.num_sets(), d.num_resets());
+    }
+    (stored, flips, demand)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pcm_schemes::SchemeConfig;
-    use pcm_types::{LineData, UnitDemand};
+    use pcm_types::propcheck::{any_u64, one_of, vec_of};
+    use pcm_types::{prop_assert_eq, propcheck};
 
     #[test]
     fn counts_match_paper_semantics() {
@@ -77,6 +96,32 @@ mod tests {
         let out = read_stage(&ctx);
         for u in out.demand.units() {
             assert!(u.total() <= 32 + 1, "flip bound violated: {u:?}");
+        }
+    }
+
+    propcheck! {
+        /// The plan's reduced read stage keeps exactly what the full one
+        /// records: stored bits, flip tags and demand.
+        fn read_counts_match_read_stage(
+            olds in vec_of(any_u64(), 32),
+            news in vec_of(any_u64(), 32),
+            old_flips in any_u64(),
+            units in one_of(&[8usize, 16, 32]),
+        ) {
+            let cfg = SchemeConfig::paper_baseline();
+            let old = LineData::from_units(&olds[..units]);
+            let new = LineData::from_units(&news[..units]);
+            let ctx = WriteCtx {
+                old_stored: &old,
+                old_flips: old_flips as u32,
+                new_logical: &new,
+                cfg: &cfg,
+            };
+            let full = read_stage(&ctx);
+            let (stored, flips, demand) = read_counts(&ctx);
+            prop_assert_eq!(&stored, full.stored());
+            prop_assert_eq!(flips, full.flips());
+            prop_assert_eq!(demand, full.demand);
         }
     }
 

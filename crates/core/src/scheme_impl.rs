@@ -1,11 +1,11 @@
 //! [`TetrisWrite`] — the three stages packaged as a [`WriteScheme`].
 
-use crate::analysis::{analyze, AnalysisResult};
+use crate::analysis::{analyze, pack_counts, AnalysisResult, PackCounts};
 use crate::batch::analyze_batch;
 use crate::config::TetrisConfig;
-use crate::read_stage::{read_stage, ReadStageOutput};
+use crate::read_stage::{read_counts, read_stage, ReadStageOutput};
 use pcm_schemes::{BatchPlan, WriteCtx, WritePlan, WriteScheme};
-use pcm_types::Ps;
+use pcm_types::{LineData, LineDemand, Ps};
 
 /// The Tetris Write scheme.
 ///
@@ -57,36 +57,61 @@ impl TetrisWrite {
         &self,
         ctx: &WriteCtx<'_>,
     ) -> (WritePlan, AnalysisResult, ReadStageOutput) {
-        let mut cfg = self.cfg;
-        cfg.scheme = *ctx.cfg;
+        let cfg = self.packing_config(ctx);
         let read_out = read_stage(ctx);
         let analysis = analyze(&read_out.demand, &cfg)
             .expect("analysis failed: configuration invalid for demand");
-        let write_time = analysis.write_time(cfg.scheme.timings.t_set);
-        let service = cfg.scheme.timings.t_read + cfg.analysis_overhead + write_time;
-        let (sets, resets) = (read_out.demand.total_sets(), read_out.demand.total_resets());
-        let energy = cfg.scheme.energy.write_energy(sets as u64, resets as u64)
-            + cfg
-                .scheme
-                .energy
-                .read_energy(cfg.scheme.org.data_units_per_line() as u64);
-        let plan = WritePlan {
-            service_time: service,
-            energy,
-            write_units_equiv: analysis.write_units_equiv(),
-            stored: *read_out.stored(),
-            flips: read_out.flips(),
-            cell_sets: sets,
-            cell_resets: resets,
-            read_before_write: true,
-            partitions_used: 0,
-        };
+        let plan = write_plan(
+            &cfg,
+            *read_out.stored(),
+            read_out.flips(),
+            &read_out.demand,
+            analysis.counts(),
+        );
         (plan, analysis, read_out)
+    }
+
+    /// The packing knobs of this scheme over the geometry `ctx` plans
+    /// against.
+    fn packing_config(&self, ctx: &WriteCtx<'_>) -> TetrisConfig {
+        let mut cfg = self.cfg;
+        cfg.scheme = *ctx.cfg;
+        cfg
     }
 
     /// Total fixed overhead added to every write (read + analysis).
     pub fn fixed_overhead(&self) -> Ps {
         self.cfg.scheme.timings.t_read + self.cfg.analysis_overhead
+    }
+}
+
+/// A single line's plan: the read, the analysis and Eq. 5's write phase
+/// in series; differential energy over `demand` plus the read.
+fn write_plan(
+    cfg: &TetrisConfig,
+    stored: LineData,
+    flips: u32,
+    demand: &LineDemand,
+    counts: PackCounts,
+) -> WritePlan {
+    let write_time = counts.write_time(cfg.scheme.timings.t_set);
+    let service = cfg.scheme.timings.t_read + cfg.analysis_overhead + write_time;
+    let (sets, resets) = (demand.total_sets(), demand.total_resets());
+    let energy = cfg.scheme.energy.write_energy(sets as u64, resets as u64)
+        + cfg
+            .scheme
+            .energy
+            .read_energy(cfg.scheme.org.data_units_per_line() as u64);
+    WritePlan {
+        service_time: service,
+        energy,
+        write_units_equiv: counts.write_units_equiv(),
+        stored,
+        flips,
+        cell_sets: sets,
+        cell_resets: resets,
+        read_before_write: true,
+        partitions_used: 0,
     }
 }
 
@@ -99,8 +124,14 @@ impl WriteScheme for TetrisWrite {
         true
     }
 
+    /// [`TetrisWrite::plan_detailed`]'s plan from the two counts alone:
+    /// no placement, decision record or slot vector is kept.
     fn plan(&self, ctx: &WriteCtx<'_>) -> WritePlan {
-        self.plan_detailed(ctx).0
+        let cfg = self.packing_config(ctx);
+        let (stored, flips, demand) = read_counts(ctx);
+        let counts =
+            pack_counts(&demand, &cfg).expect("analysis failed: configuration invalid for demand");
+        write_plan(&cfg, stored, flips, &demand, counts)
     }
 
     /// Inter-line batching: flip-encode every line, concatenate their
@@ -111,32 +142,25 @@ impl WriteScheme for TetrisWrite {
         if ctxs.is_empty() {
             return None;
         }
-        let mut cfg = self.cfg;
-        cfg.scheme = *ctxs[0].cfg;
+        let cfg = self.packing_config(&ctxs[0]);
         let outs: Vec<_> = ctxs.iter().map(read_stage).collect();
         let demands: Vec<_> = outs.iter().map(|o| o.demand).collect();
         let batch = analyze_batch(&demands, &cfg).ok()?;
         let write_time = batch.write_time(cfg.scheme.timings.t_set);
         let total = cfg.scheme.timings.t_read + cfg.analysis_overhead + write_time;
+        // Every line completes at the batch's shared write time (`total`)
+        // and is charged its share of the batch's write units.
         let plans = outs
             .iter()
-            .map(|o| {
-                let (sets, resets) = (o.demand.total_sets(), o.demand.total_resets());
-                WritePlan {
-                    service_time: total,
-                    energy: cfg.scheme.energy.write_energy(sets as u64, resets as u64)
-                        + cfg
-                            .scheme
-                            .energy
-                            .read_energy(cfg.scheme.org.data_units_per_line() as u64),
-                    write_units_equiv: batch.write_units_per_line(),
-                    stored: *o.stored(),
-                    flips: o.flips(),
-                    cell_sets: sets,
-                    cell_resets: resets,
-                    read_before_write: true,
-                    partitions_used: 0,
-                }
+            .map(|o| WritePlan {
+                write_units_equiv: batch.write_units_per_line(),
+                ..write_plan(
+                    &cfg,
+                    *o.stored(),
+                    o.flips(),
+                    &o.demand,
+                    batch.analysis.counts(),
+                )
             })
             .collect();
         Some(BatchPlan {
@@ -153,8 +177,9 @@ mod tests {
     use pcm_schemes::{
         analytic, DcwWrite, FlipNWrite, SchemeConfig, ThreeStageWrite, TwoStageWrite,
     };
+    use pcm_types::propcheck::{any_u64, one_of, vec_of};
     use pcm_types::rng::{Rng, StdRng};
-    use pcm_types::LineData;
+    use pcm_types::{prop_assert_eq, propcheck};
 
     fn sparse_line(
         rng: &mut StdRng,
@@ -334,5 +359,63 @@ mod tests {
         let plan = TetrisWrite::paper_baseline().plan(&ctx);
         assert!(plan.check_decodes_to(&new).is_ok());
         assert_eq!(plan.write_units_equiv, 1.0, "16 × 2 SETs trivially pack");
+    }
+
+    propcheck! {
+        /// `plan` (reduced read stage, count-only packer) is
+        /// `plan_detailed`'s plan field for field, `write_units_equiv`
+        /// bit for bit, whatever the data, prior flip tags, line size,
+        /// budget (down to the chunked X2-scale ones) and packing knobs.
+        fn plan_matches_plan_detailed(
+            olds in vec_of(any_u64(), 32),
+            masks in (vec_of(any_u64(), 32), vec_of(any_u64(), 32)),
+            shape in (0u32..3, any_u64()),
+            line_bytes in one_of(&[64u32, 128, 256]),
+            budget in one_of(&[128u32, 64, 32, 16, 8, 2]),
+            knobs in 0u32..8,
+        ) {
+            let (xs, ys) = masks;
+            let (density, old_flips) = shape;
+            let mut cfg = SchemeConfig::paper_baseline();
+            cfg.org.cache_line_bytes = line_bytes;
+            cfg.power.budget_per_bank = budget;
+            let units = line_bytes as usize / 8;
+            // Dense (random), half-sparse and quarter-sparse updates.
+            let news: Vec<u64> = (0..units)
+                .map(|i| match density {
+                    0 => xs[i],
+                    1 => olds[i] ^ (xs[i] & ys[i]),
+                    _ => olds[i] ^ (xs[i] & ys[i] & (xs[i] >> 7)),
+                })
+                .collect();
+            let old = LineData::from_units(&olds[..units]);
+            let new = LineData::from_units(&news);
+            let ctx = WriteCtx {
+                old_stored: &old,
+                old_flips: old_flips as u32,
+                new_logical: &new,
+                cfg: &cfg,
+            };
+            let scheme = TetrisWrite::new(TetrisConfig {
+                sort_decreasing: knobs & 1 != 0,
+                steal_write0_slack: knobs & 2 != 0,
+                min_one_write_unit: knobs & 4 != 0,
+                ..TetrisConfig::paper_baseline()
+            });
+            let fast = scheme.plan(&ctx);
+            let (full, _, _) = scheme.plan_detailed(&ctx);
+            prop_assert_eq!(fast.service_time, full.service_time);
+            prop_assert_eq!(fast.energy, full.energy);
+            prop_assert_eq!(
+                fast.write_units_equiv.to_bits(),
+                full.write_units_equiv.to_bits()
+            );
+            prop_assert_eq!(&fast.stored, &full.stored);
+            prop_assert_eq!(fast.flips, full.flips);
+            prop_assert_eq!(fast.cell_sets, full.cell_sets);
+            prop_assert_eq!(fast.cell_resets, full.cell_resets);
+            prop_assert_eq!(fast.read_before_write, full.read_before_write);
+            prop_assert_eq!(fast.partitions_used, full.partitions_used);
+        }
     }
 }

@@ -124,11 +124,40 @@ mod queue {
 
 use queue::{LaneQueues, QueuedReq, ReqQueue};
 
+/// The request(s) one bank operation services: the first, then the rest
+/// of a write batch and the older same-line writes a queued write
+/// absorbed. Only those rarer cases put anything on the heap, so a single
+/// read or write completes without allocating.
+#[derive(Clone, Debug)]
+pub struct Serviced {
+    first: MemRequest,
+    rest: Vec<MemRequest>,
+}
+
+impl Serviced {
+    fn one(req: MemRequest) -> Self {
+        Serviced {
+            first: req,
+            rest: Vec::new(),
+        }
+    }
+}
+
+impl IntoIterator for Serviced {
+    type Item = MemRequest;
+    type IntoIter = std::iter::Chain<std::iter::Once<MemRequest>, std::vec::IntoIter<MemRequest>>;
+
+    /// The serviced requests, the one [`Issued::req`] named first.
+    fn into_iter(self) -> Self::IntoIter {
+        std::iter::once(self.first).chain(self.rest)
+    }
+}
+
 /// The request(s) currently occupying a bank (several when a write batch
 /// is in flight).
 #[derive(Clone, Debug)]
 struct InFlight {
-    reqs: Vec<MemRequest>,
+    reqs: Serviced,
     epoch: u64,
     is_write: bool,
     row: u64,
@@ -138,7 +167,7 @@ struct InFlight {
 /// A write (batch) preempted by a read (write pausing enabled).
 #[derive(Clone, Debug)]
 struct PausedWrite {
-    reqs: Vec<MemRequest>,
+    reqs: Serviced,
     remaining: Ps,
     row: u64,
     pauses: u32,
@@ -207,6 +236,10 @@ pub struct MemoryController<Q = LaneQueues> {
     /// Added to every lane id the controller records, so that several
     /// ranks' controllers can share one trace.
     lane_base: u32,
+    /// The writes one drain pick takes for a bank, and their new
+    /// contents; kept between picks so that a drain allocates nothing.
+    picked: Vec<QueuedReq>,
+    writes: Vec<(pcm_types::PhysAddr, pcm_types::LineData)>,
     /// Statistics.
     pub stats: CtrlStats,
 }
@@ -236,6 +269,8 @@ impl<Q: ReqQueue> MemoryController<Q> {
             epoch: 0,
             drain: false,
             lane_base: 0,
+            picked: Vec::new(),
+            writes: Vec::new(),
             stats: CtrlStats::default(),
         }
     }
@@ -407,18 +442,19 @@ impl<Q: ReqQueue> MemoryController<Q> {
 
     /// Issue requests to every free bank. Writes are only eligible while
     /// draining; during a drain, a bank with no queued write may still take
-    /// a read. Returns the newly issued requests (schedule their
-    /// completions as `BankComplete` events). Bank-occupancy transitions,
-    /// pause/resume decisions and batch-packing outcomes are reported to
-    /// `tel` (pass [`pcm_telemetry::NullSink`] to disable).
+    /// a read. Appends the newly issued requests to `issued`, which the
+    /// caller owns and reuses (schedule their completions as
+    /// `BankComplete` events). Bank-occupancy transitions, pause/resume
+    /// decisions and batch-packing outcomes are reported to `tel` (pass
+    /// [`pcm_telemetry::NullSink`] to disable).
     pub fn try_issue(
         &mut self,
         now: Ps,
         memory: &mut PcmMainMemory,
         content: &mut dyn WriteContent,
         tel: &mut dyn Telemetry,
-    ) -> Vec<Issued> {
-        let mut issued = Vec::new();
+        issued: &mut Vec<Issued>,
+    ) {
         // Read-window policy: a long-starving drain yields briefly to
         // queued reads (banks without queued reads keep draining).
         let window = self
@@ -488,27 +524,36 @@ impl<Q: ReqQueue> MemoryController<Q> {
                 } else {
                     None
                 };
-                let mut picked = Vec::new();
-                while picked.len() < self.cfg.batch_writes.max(1) {
+                self.picked.clear();
+                while self.picked.len() < self.cfg.batch_writes.max(1) {
                     match self.write_q.pick(bank, self.banks[bank].open_row()) {
-                        Some(i) => picked.push(self.write_q.remove(bank, i)),
+                        Some(i) => self.picked.push(self.write_q.remove(bank, i)),
                         None => break,
                     }
                 }
-                if !picked.is_empty() {
-                    let writes: Vec<(pcm_types::PhysAddr, pcm_types::LineData)> = picked
-                        .iter()
-                        .map(|q| {
-                            let old = memory
-                                .peek_line(q.req.addr)
-                                .expect("queued write must decode");
-                            (q.req.addr, content.generate(q.req.core, &old))
-                        })
-                        .collect();
+                if !self.picked.is_empty() {
+                    self.writes.clear();
+                    for q in &self.picked {
+                        let old = memory
+                            .peek_line(q.req.addr)
+                            .expect("queued write must decode");
+                        self.writes
+                            .push((q.req.addr, content.generate(q.req.core, &old)));
+                    }
                     let outcome = memory
-                        .write_lines_batch(&writes)
+                        .write_lines_batch(&self.writes)
                         .expect("queued writes must be writable");
-                    let row = picked[0].row;
+                    let lines = self.picked.len() as u32;
+                    let row = self.picked[0].row;
+                    // The batch's requests in pick order, each followed by
+                    // the writes it absorbed.
+                    let mut reqs = Serviced::one(self.picked[0].req);
+                    for (k, q) in self.picked.drain(..).enumerate() {
+                        if k > 0 {
+                            reqs.rest.push(q.req);
+                        }
+                        reqs.rest.extend(q.absorbed);
+                    }
                     let completion = self.banks[bank].begin_write(now, row, outcome.service_time);
                     self.banks[bank].note_partitions(outcome.partitions_used);
                     self.epoch += 1;
@@ -518,14 +563,14 @@ impl<Q: ReqQueue> MemoryController<Q> {
                             bank: self.trace_lane(bank),
                             kind: OpKind::Write,
                             until: completion,
-                            lines: picked.len() as u32,
+                            lines,
                         });
                         if outcome.partitions_used > 0 {
                             tel.record(&TelemetryEvent::PartitionWrite {
                                 at: now,
                                 bank: self.trace_lane(bank),
                                 partitions: outcome.partitions_used,
-                                lines: picked.len() as u32,
+                                lines,
                             });
                         }
                         let rows = outcome.coset_rows;
@@ -545,22 +590,17 @@ impl<Q: ReqQueue> MemoryController<Q> {
                             tel.record(&TelemetryEvent::BatchPack {
                                 at: now,
                                 bank: self.trace_lane(bank),
-                                lines: picked.len() as u32,
+                                lines,
                                 write_units: pack.write_units_equiv,
                                 stolen_write0s: pack.stolen_write0s,
                                 utilization: pack.utilization,
                             });
                         }
                     }
-                    let mut reqs: Vec<MemRequest> = Vec::new();
-                    for q in &picked {
-                        reqs.push(q.req);
-                        reqs.extend(q.absorbed.iter().copied());
-                    }
                     issued.push(Issued {
                         bank,
                         completion,
-                        req: reqs[0],
+                        req: reqs.first,
                         epoch: self.epoch,
                     });
                     self.in_flight[bank] = Some(InFlight {
@@ -613,7 +653,7 @@ impl<Q: ReqQueue> MemoryController<Q> {
                     });
                 }
                 self.in_flight[bank] = Some(InFlight {
-                    reqs: vec![q.req],
+                    reqs: Serviced::one(q.req),
                     epoch: self.epoch,
                     is_write: false,
                     row: q.row,
@@ -639,7 +679,7 @@ impl<Q: ReqQueue> MemoryController<Q> {
                         until: completion,
                     });
                 }
-                let first = p.reqs[0];
+                let first = p.reqs.first;
                 self.in_flight[bank] = Some(InFlight {
                     reqs: p.reqs,
                     epoch: self.epoch,
@@ -655,16 +695,15 @@ impl<Q: ReqQueue> MemoryController<Q> {
                 });
             }
         }
-        issued
     }
 
     /// A bank finished (or a stale completion of a paused write fired);
-    /// returns the serviced request(s) — several for a write batch — or an
-    /// empty vec for stale events.
-    pub fn complete(&mut self, bank: usize, epoch: u64) -> Vec<MemRequest> {
+    /// returns the serviced request(s) — several for a write batch — or
+    /// `None` for stale events.
+    pub fn complete(&mut self, bank: usize, epoch: u64) -> Option<Serviced> {
         match &self.in_flight[bank] {
-            Some(f) if f.epoch == epoch => self.in_flight[bank].take().expect("present").reqs,
-            _ => Vec::new(),
+            Some(f) if f.epoch == epoch => self.in_flight[bank].take().map(|f| f.reqs),
+            _ => None,
         }
     }
 
@@ -691,6 +730,37 @@ mod tests {
     use pcm_telemetry::{MemorySink, NullSink};
     use pcm_types::propcheck::{any_bool, one_of, vec_of};
     use pcm_types::{prop_assert, prop_assert_eq, propcheck};
+
+    /// The tests read one round's issues and one completion's requests
+    /// as vectors.
+    trait VecView {
+        fn issue_vec(
+            &mut self,
+            now: Ps,
+            memory: &mut PcmMainMemory,
+            content: &mut dyn WriteContent,
+            tel: &mut dyn Telemetry,
+        ) -> Vec<Issued>;
+        fn complete_vec(&mut self, bank: usize, epoch: u64) -> Vec<MemRequest>;
+    }
+
+    impl<Q: ReqQueue> VecView for MemoryController<Q> {
+        fn issue_vec(
+            &mut self,
+            now: Ps,
+            memory: &mut PcmMainMemory,
+            content: &mut dyn WriteContent,
+            tel: &mut dyn Telemetry,
+        ) -> Vec<Issued> {
+            let mut issued = Vec::new();
+            self.try_issue(now, memory, content, tel, &mut issued);
+            issued
+        }
+
+        fn complete_vec(&mut self, bank: usize, epoch: u64) -> Vec<MemRequest> {
+            self.complete(bank, epoch).into_iter().flatten().collect()
+        }
+    }
 
     fn setup() -> (MemoryController, PcmMainMemory, UniformRandomContent) {
         let cfg = SchemeConfig::paper_baseline();
@@ -737,10 +807,10 @@ mod tests {
             ctrl.enqueue_read(read_req(1, 0x40, Ps::ZERO), &d, fb),
             ReadEnqueue::Queued
         );
-        let issued = ctrl.try_issue(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
+        let issued = ctrl.issue_vec(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
         assert_eq!(issued.len(), 1);
         assert_eq!(issued[0].completion, Ps::from_ns(60));
-        assert_eq!(ctrl.complete(issued[0].bank, issued[0].epoch)[0].id, 1);
+        assert_eq!(ctrl.complete_vec(issued[0].bank, issued[0].epoch)[0].id, 1);
     }
 
     #[test]
@@ -754,13 +824,13 @@ mod tests {
         }
         assert!(!ctrl.draining());
         assert!(ctrl
-            .try_issue(Ps::ZERO, &mut mem, &mut content, &mut NullSink)
+            .issue_vec(Ps::ZERO, &mut mem, &mut content, &mut NullSink)
             .is_empty());
         // The 32nd write triggers the drain.
         let (d, fb) = decode(&mem, 31 * 64);
         ctrl.enqueue_write(write_req(31, 31 * 64, Ps::ZERO), &d, fb, &mut NullSink);
         assert!(ctrl.draining());
-        let issued = ctrl.try_issue(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
+        let issued = ctrl.issue_vec(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
         assert_eq!(issued.len(), 8, "one write per free bank");
     }
 
@@ -776,12 +846,12 @@ mod tests {
         // Repeatedly complete and reissue until drain exits.
         let mut guard = 0;
         while ctrl.draining() {
-            let issued = ctrl.try_issue(now, &mut mem, &mut content, &mut NullSink);
+            let issued = ctrl.issue_vec(now, &mut mem, &mut content, &mut NullSink);
             for i in &issued {
                 now = now.max(i.completion);
             }
             for i in issued {
-                ctrl.complete(i.bank, i.epoch);
+                ctrl.complete_vec(i.bank, i.epoch);
             }
             guard += 1;
             assert!(guard < 100, "drain must terminate");
@@ -797,7 +867,7 @@ mod tests {
         ctrl.enqueue_write(write_req(1, 0x40, Ps::ZERO), &dw, fbw, &mut NullSink);
         let (dr, fbr) = decode(&mem, 0x80);
         ctrl.enqueue_read(read_req(2, 0x80, Ps::ZERO), &dr, fbr);
-        let issued = ctrl.try_issue(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
+        let issued = ctrl.issue_vec(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
         assert_eq!(issued.len(), 1);
         assert_eq!(issued[0].req.id, 2, "the read went first");
         assert_eq!(issued[0].req.kind, AccessKind::Read);
@@ -826,12 +896,12 @@ mod tests {
             ctrl.enqueue_read(read_req(id, a, Ps::ZERO), &d, fb);
         }
         // First issue: FCFS (no open row) → id 1, opens row 0.
-        let i1 = ctrl.try_issue(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
+        let i1 = ctrl.issue_vec(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
         assert_eq!(i1[0].req.id, 1);
         let done = i1[0].completion;
-        ctrl.complete(i1[0].bank, i1[0].epoch);
+        ctrl.complete_vec(i1[0].bank, i1[0].epoch);
         // Second issue: row 0 open → id 3 jumps ahead of id 2.
-        let i2 = ctrl.try_issue(done, &mut mem, &mut content, &mut NullSink);
+        let i2 = ctrl.issue_vec(done, &mut mem, &mut content, &mut NullSink);
         assert_eq!(i2[0].req.id, 3, "row hit preferred over older miss");
     }
 
@@ -848,7 +918,7 @@ mod tests {
         let (d, fb) = decode(&mem, 0x0);
         ctrl.enqueue_write(write_req(1, 0x0, Ps::ZERO), &d, fb, &mut NullSink);
         ctrl.force_drain();
-        let w = ctrl.try_issue(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
+        let w = ctrl.issue_vec(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
         assert_eq!(w.len(), 1);
         let write_completion = w[0].completion;
         assert!(write_completion > Ps::from_ns(3000));
@@ -858,24 +928,27 @@ mod tests {
         let (dr, fbr) = decode(&mem, 8 * 64); // same bank, another row
         assert_eq!(fbr, 0);
         ctrl.enqueue_read(read_req(2, 8 * 64, t1), &dr, fbr);
-        let issued = ctrl.try_issue(t1, &mut mem, &mut content, &mut NullSink);
+        let issued = ctrl.issue_vec(t1, &mut mem, &mut content, &mut NullSink);
         assert_eq!(issued.len(), 1, "the read preempts the write");
         assert_eq!(issued[0].req.id, 2);
         assert_eq!(ctrl.stats.write_pauses, 1);
 
         // The original write's completion event is now stale.
-        assert!(ctrl.complete(w[0].bank, w[0].epoch).is_empty());
+        assert!(ctrl.complete_vec(w[0].bank, w[0].epoch).is_empty());
 
         // Finish the read, then the write resumes with its remaining time
         // plus the re-ramp overhead.
         let read_done = issued[0].completion;
-        assert_eq!(ctrl.complete(issued[0].bank, issued[0].epoch)[0].id, 2);
-        let resumed = ctrl.try_issue(read_done, &mut mem, &mut content, &mut NullSink);
+        assert_eq!(ctrl.complete_vec(issued[0].bank, issued[0].epoch)[0].id, 2);
+        let resumed = ctrl.issue_vec(read_done, &mut mem, &mut content, &mut NullSink);
         assert_eq!(resumed.len(), 1);
         assert_eq!(resumed[0].req.id, 1);
         let expected = read_done + (write_completion - t1) + Ps::from_ns(4);
         assert_eq!(resumed[0].completion, expected);
-        assert_eq!(ctrl.complete(resumed[0].bank, resumed[0].epoch)[0].id, 1);
+        assert_eq!(
+            ctrl.complete_vec(resumed[0].bank, resumed[0].epoch)[0].id,
+            1
+        );
         assert!(!ctrl.has_pending());
     }
 
@@ -892,7 +965,7 @@ mod tests {
         let (d, fb) = decode(&mem, 0x0);
         ctrl.enqueue_write(write_req(1, 0x0, Ps::ZERO), &d, fb, &mut NullSink);
         ctrl.force_drain();
-        let w0 = ctrl.try_issue(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
+        let w0 = ctrl.issue_vec(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
 
         // Two pause/resume cycles, each obsoleting the previous epoch.
         let mut stale = vec![(w0[0].bank, w0[0].epoch)];
@@ -903,14 +976,17 @@ mod tests {
             let (dr, fbr) = decode(&mem, addr);
             assert_eq!(fbr, 0);
             ctrl.enqueue_read(read_req(id, addr, now), &dr, fbr);
-            let r = ctrl.try_issue(now, &mut mem, &mut content, &mut NullSink);
+            let r = ctrl.issue_vec(now, &mut mem, &mut content, &mut NullSink);
             assert_eq!(r[0].req.id, id, "read preempts on pass {pass}");
             // Every superseded epoch is a no-op, however often it fires.
             for &(b, e) in &stale {
-                assert!(ctrl.complete(b, e).is_empty(), "epoch {e} must be stale");
+                assert!(
+                    ctrl.complete_vec(b, e).is_empty(),
+                    "epoch {e} must be stale"
+                );
             }
-            assert_eq!(ctrl.complete(r[0].bank, r[0].epoch)[0].id, id);
-            let resumed = ctrl.try_issue(r[0].completion, &mut mem, &mut content, &mut NullSink);
+            assert_eq!(ctrl.complete_vec(r[0].bank, r[0].epoch)[0].id, id);
+            let resumed = ctrl.issue_vec(r[0].completion, &mut mem, &mut content, &mut NullSink);
             assert_eq!(resumed[0].req.id, 1, "the write resumes");
             stale.push((last.bank, last.epoch));
             last = resumed[0].clone();
@@ -919,10 +995,10 @@ mod tests {
         assert_eq!(ctrl.stats.write_pauses, 2);
 
         // Only the final epoch retires the write — exactly once.
-        assert_eq!(ctrl.complete(last.bank, last.epoch)[0].id, 1);
-        assert!(ctrl.complete(last.bank, last.epoch).is_empty());
+        assert_eq!(ctrl.complete_vec(last.bank, last.epoch)[0].id, 1);
+        assert!(ctrl.complete_vec(last.bank, last.epoch).is_empty());
         for &(b, e) in &stale {
-            assert!(ctrl.complete(b, e).is_empty());
+            assert!(ctrl.complete_vec(b, e).is_empty());
         }
         assert!(!ctrl.has_pending());
     }
@@ -942,7 +1018,7 @@ mod tests {
         let (d, fb) = decode(&mem, 0x0);
         ctrl.enqueue_write(write_req(1, 0x0, Ps::ZERO), &d, fb, &mut NullSink);
         ctrl.force_drain();
-        let w = ctrl.try_issue(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
+        let w = ctrl.issue_vec(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
         let t = w[0].completion;
 
         let (dr, fbr) = decode(&mem, 8 * 64);
@@ -950,18 +1026,18 @@ mod tests {
         // Until the completion is consumed the bank stays claimed: no pause,
         // no issue.
         assert!(ctrl
-            .try_issue(t, &mut mem, &mut content, &mut NullSink)
+            .issue_vec(t, &mut mem, &mut content, &mut NullSink)
             .is_empty());
         assert_eq!(
             ctrl.stats.write_pauses, 0,
             "zero-remaining write never pauses"
         );
         // The write's epoch is still the live one.
-        assert_eq!(ctrl.complete(w[0].bank, w[0].epoch)[0].id, 1);
+        assert_eq!(ctrl.complete_vec(w[0].bank, w[0].epoch)[0].id, 1);
         // Now the read goes, at the same timestamp.
-        let r = ctrl.try_issue(t, &mut mem, &mut content, &mut NullSink);
+        let r = ctrl.issue_vec(t, &mut mem, &mut content, &mut NullSink);
         assert_eq!(r[0].req.id, 2);
-        assert_eq!(ctrl.complete(r[0].bank, r[0].epoch)[0].id, 2);
+        assert_eq!(ctrl.complete_vec(r[0].bank, r[0].epoch)[0].id, 2);
         assert!(!ctrl.has_pending());
     }
 
@@ -978,21 +1054,21 @@ mod tests {
         let (d, fb) = decode(&mem, 0x0);
         ctrl.enqueue_write(write_req(1, 0x0, Ps::ZERO), &d, fb, &mut NullSink);
         ctrl.force_drain();
-        let w = ctrl.try_issue(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
+        let w = ctrl.issue_vec(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
 
         // First read pauses the write.
         let (dr, fbr) = decode(&mem, 8 * 64);
         ctrl.enqueue_read(read_req(2, 8 * 64, Ps::from_ns(100)), &dr, fbr);
-        let r1 = ctrl.try_issue(Ps::from_ns(100), &mut mem, &mut content, &mut NullSink);
+        let r1 = ctrl.issue_vec(Ps::from_ns(100), &mut mem, &mut content, &mut NullSink);
         assert_eq!(r1[0].req.id, 2);
-        assert!(!ctrl.complete(r1[0].bank, r1[0].epoch).is_empty());
-        let resumed = ctrl.try_issue(r1[0].completion, &mut mem, &mut content, &mut NullSink);
+        assert!(!ctrl.complete_vec(r1[0].bank, r1[0].epoch).is_empty());
+        let resumed = ctrl.issue_vec(r1[0].completion, &mut mem, &mut content, &mut NullSink);
         assert_eq!(resumed[0].req.id, 1);
 
         // Second read must NOT pause it again (limit reached).
         let t2 = r1[0].completion + Ps::from_ns(50);
         ctrl.enqueue_read(read_req(3, 8 * 64, t2), &dr, fbr);
-        let r2 = ctrl.try_issue(t2, &mut mem, &mut content, &mut NullSink);
+        let r2 = ctrl.issue_vec(t2, &mut mem, &mut content, &mut NullSink);
         assert!(r2.is_empty(), "write runs to completion: {r2:?}");
         assert_eq!(ctrl.stats.write_pauses, 1);
         let _ = w;
@@ -1015,9 +1091,9 @@ mod tests {
         assert_eq!(ctrl.stats.writes_coalesced, 2);
         // Service it: all three requests complete together.
         ctrl.force_drain();
-        let issued = ctrl.try_issue(Ps::from_ns(30), &mut mem, &mut content, &mut NullSink);
+        let issued = ctrl.issue_vec(Ps::from_ns(30), &mut mem, &mut content, &mut NullSink);
         assert_eq!(issued.len(), 1);
-        let reqs = ctrl.complete(issued[0].bank, issued[0].epoch);
+        let reqs = ctrl.complete_vec(issued[0].bank, issued[0].epoch);
         let mut ids: Vec<u64> = reqs.iter().map(|r| r.id).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2, 3]);
@@ -1048,7 +1124,7 @@ mod tests {
         let (dw, fbw) = decode(&mem, 0x0);
         ctrl.enqueue_write(write_req(1, 0x0, Ps::ZERO), &dw, fbw, &mut NullSink);
         ctrl.force_drain();
-        let w = ctrl.try_issue(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
+        let w = ctrl.issue_vec(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
         assert_eq!(w.len(), 1);
 
         // A read to bank 0, odd row (subarray 1) proceeds mid-write…
@@ -1057,7 +1133,7 @@ mod tests {
         assert_eq!(fbr, 0);
         assert_eq!(dr.row % 2, 1);
         ctrl.enqueue_read(read_req(2, odd_row_addr, Ps::from_ns(100)), &dr, fbr);
-        let r = ctrl.try_issue(Ps::from_ns(100), &mut mem, &mut content, &mut NullSink);
+        let r = ctrl.issue_vec(Ps::from_ns(100), &mut mem, &mut content, &mut NullSink);
         assert_eq!(r.len(), 1, "subarray 1 services the read during the write");
         assert_eq!(r[0].req.id, 2);
 
@@ -1066,7 +1142,7 @@ mod tests {
         let (dr2, fbr2) = decode(&mem, same_sub_addr);
         assert_eq!(dr2.row % 2, 0);
         ctrl.enqueue_read(read_req(3, same_sub_addr, Ps::from_ns(120)), &dr2, fbr2);
-        let r2 = ctrl.try_issue(Ps::from_ns(120), &mut mem, &mut content, &mut NullSink);
+        let r2 = ctrl.issue_vec(Ps::from_ns(120), &mut mem, &mut content, &mut NullSink);
         assert!(
             r2.is_empty(),
             "same-subarray read blocked by the write: {r2:?}"
@@ -1089,12 +1165,14 @@ mod tests {
             ctrl.enqueue_write(write_req(id, addr, Ps::ZERO), &d, fb, &mut NullSink);
         }
         ctrl.force_drain();
-        let issued = ctrl.try_issue(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
+        let issued = ctrl.issue_vec(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
         assert_eq!(issued.len(), 1, "shared pump: one write per bank");
         let done = issued[0].completion;
-        assert!(!ctrl.complete(issued[0].bank, issued[0].epoch).is_empty());
+        assert!(!ctrl
+            .complete_vec(issued[0].bank, issued[0].epoch)
+            .is_empty());
         ctrl.force_drain();
-        let issued2 = ctrl.try_issue(done, &mut mem, &mut content, &mut NullSink);
+        let issued2 = ctrl.issue_vec(done, &mut mem, &mut content, &mut NullSink);
         assert_eq!(issued2.len(), 1, "second write follows after the first");
     }
 
@@ -1115,7 +1193,7 @@ mod tests {
         ));
 
         // Issue: every busy bank reports a BankBusy write occupancy.
-        let issued = ctrl.try_issue(Ps::ZERO, &mut mem, &mut content, &mut tel);
+        let issued = ctrl.issue_vec(Ps::ZERO, &mut mem, &mut content, &mut tel);
         let busy: Vec<_> = tel
             .events
             .iter()
@@ -1146,10 +1224,10 @@ mod tests {
         let (d, fb) = decode(&mem, 0x0);
         ctrl.enqueue_write(write_req(1, 0x0, Ps::ZERO), &d, fb, &mut tel);
         ctrl.force_drain();
-        ctrl.try_issue(Ps::ZERO, &mut mem, &mut content, &mut tel);
+        ctrl.issue_vec(Ps::ZERO, &mut mem, &mut content, &mut tel);
         let (dr, fbr) = decode(&mem, 8 * 64);
         ctrl.enqueue_read(read_req(2, 8 * 64, Ps::from_ns(500)), &dr, fbr);
-        let r = ctrl.try_issue(Ps::from_ns(500), &mut mem, &mut content, &mut tel);
+        let r = ctrl.issue_vec(Ps::from_ns(500), &mut mem, &mut content, &mut tel);
         assert_eq!(r[0].req.id, 2);
         assert!(tel.events.iter().any(|e| matches!(
             e,
@@ -1161,8 +1239,8 @@ mod tests {
         )));
 
         // The resume event carries the new completion time.
-        ctrl.complete(r[0].bank, r[0].epoch);
-        let resumed = ctrl.try_issue(r[0].completion, &mut mem, &mut content, &mut tel);
+        ctrl.complete_vec(r[0].bank, r[0].epoch);
+        let resumed = ctrl.issue_vec(r[0].completion, &mut mem, &mut content, &mut tel);
         assert!(tel.events.iter().any(|e| matches!(
             e,
             TelemetryEvent::WriteResume { bank: 0, until, .. } if *until == resumed[0].completion
@@ -1180,12 +1258,12 @@ mod tests {
         }
         let mut now = Ps::ZERO;
         while ctrl.draining() {
-            let issued = ctrl.try_issue(now, &mut mem, &mut content, &mut tel);
+            let issued = ctrl.issue_vec(now, &mut mem, &mut content, &mut tel);
             for i in &issued {
                 now = now.max(i.completion);
             }
             for i in issued {
-                ctrl.complete(i.bank, i.epoch);
+                ctrl.complete_vec(i.bank, i.epoch);
             }
         }
         let stops: Vec<_> = tel
@@ -1217,9 +1295,9 @@ mod tests {
         let (d0, fb0) = decode(&mem, 0x0);
         ctrl.enqueue_write(write_req(1, 0x0, Ps::ZERO), &d0, fb0, &mut NullSink);
         ctrl.force_drain();
-        let w = ctrl.try_issue(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
+        let w = ctrl.issue_vec(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
         let t = w[0].completion;
-        ctrl.complete(w[0].bank, w[0].epoch);
+        ctrl.complete_vec(w[0].bank, w[0].epoch);
 
         // Writes queued for banks 0 and 2; both banks now free, bank 2 cold.
         let mut tel = MemorySink::new();
@@ -1230,7 +1308,7 @@ mod tests {
         ctrl.force_drain();
         // Two queued writes are under the low watermark, so the drain
         // exits after one issue — which must pick the cold bank.
-        let issued = ctrl.try_issue(t, &mut mem, &mut content, &mut tel);
+        let issued = ctrl.issue_vec(t, &mut mem, &mut content, &mut tel);
         assert_eq!(issued.len(), 1);
         assert_eq!(
             issued[0].bank, 2,
@@ -1269,14 +1347,14 @@ mod tests {
                 ctrl.enqueue_write(write_req(i, addr, Ps::ZERO), &d, fb, &mut tel);
             }
             assert!(ctrl.draining());
-            let w = ctrl.try_issue(Ps::ZERO, &mut mem, &mut content, &mut tel);
+            let w = ctrl.issue_vec(Ps::ZERO, &mut mem, &mut content, &mut tel);
             assert_eq!(w.len(), 1, "all writes target bank 0");
             let t = w[0].completion; // one DCW write ≈ 3.4 µs ≫ t_set
-            ctrl.complete(w[0].bank, w[0].epoch);
+            ctrl.complete_vec(w[0].bank, w[0].epoch);
             // A read for bank 0 has been starved by the ongoing drain.
             let (dr, fbr) = decode(&mem, 40 * 8 * 64);
             ctrl.enqueue_read(read_req(100, 40 * 8 * 64, t), &dr, fbr);
-            let issued = ctrl.try_issue(t, &mut mem, &mut content, &mut tel);
+            let issued = ctrl.issue_vec(t, &mut mem, &mut content, &mut tel);
             assert_eq!(issued.len(), 1);
             (issued[0].req.kind, ctrl.stats.read_windows, tel)
         };
@@ -1316,7 +1394,7 @@ mod tests {
             for (n, &line) in lines.iter().enumerate() {
                 // Make room by completing the earliest in-flight write.
                 while ctrl.write_queue_full() {
-                    inflight.extend(ctrl.try_issue(now, &mut mem, &mut content, &mut NullSink));
+                    inflight.extend(ctrl.issue_vec(now, &mut mem, &mut content, &mut NullSink));
                     let k = inflight
                         .iter()
                         .enumerate()
@@ -1325,7 +1403,7 @@ mod tests {
                         .expect("full queue implies in-flight work");
                     let done = inflight.remove(k);
                     now = now.max(done.completion);
-                    ctrl.complete(done.bank, done.epoch);
+                    ctrl.complete_vec(done.bank, done.epoch);
                 }
                 let addr = line * 64;
                 let d = mem.addr_map().decode(addr).unwrap();
@@ -1340,7 +1418,7 @@ mod tests {
                 );
                 let before = wq;
                 let low = ctrl.sched().low_watermark();
-                let issued = ctrl.try_issue(now, &mut mem, &mut content, &mut NullSink);
+                let issued = ctrl.issue_vec(now, &mut mem, &mut content, &mut NullSink);
                 for i in &issued {
                     let dd = mem.addr_map().decode(i.req.addr).unwrap();
                     prop_assert_eq!(
@@ -1442,7 +1520,7 @@ mod tests {
              tel: &mut MemorySink,
              log: &mut Vec<Step>,
              pending: &mut BinaryHeap<Reverse<(Ps, usize, u64)>>| {
-                for i in ctrl.try_issue(now, &mut mem, &mut content, tel) {
+                for i in ctrl.issue_vec(now, &mut mem, &mut content, tel) {
                     log.push(Step::Issued(i.bank, i.req.id, i.completion, i.epoch));
                     pending.push(Reverse((i.completion, i.bank, i.epoch)));
                 }
@@ -1461,7 +1539,11 @@ mod tests {
                     Some(&Reverse((t, bank, epoch))) if t <= at => {
                         pending.pop();
                         now = t;
-                        let ids = ctrl.complete(bank, epoch).iter().map(|r| r.id).collect();
+                        let ids = ctrl
+                            .complete_vec(bank, epoch)
+                            .iter()
+                            .map(|r| r.id)
+                            .collect();
                         log.push(Step::Done(ids));
                         issue(&mut ctrl, now, &mut tel, &mut log, &mut pending);
                     }
@@ -1547,12 +1629,12 @@ mod tests {
         let (d, fb) = decode(&mem, 0x40);
         ctrl.enqueue_write(write_req(1, 0x40, Ps::ZERO), &d, fb, &mut NullSink);
         assert!(ctrl
-            .try_issue(Ps::ZERO, &mut mem, &mut content, &mut NullSink)
+            .issue_vec(Ps::ZERO, &mut mem, &mut content, &mut NullSink)
             .is_empty());
         ctrl.force_drain();
-        let issued = ctrl.try_issue(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
+        let issued = ctrl.issue_vec(Ps::ZERO, &mut mem, &mut content, &mut NullSink);
         assert_eq!(issued.len(), 1);
-        ctrl.complete(issued[0].bank, issued[0].epoch);
+        ctrl.complete_vec(issued[0].bank, issued[0].epoch);
         assert!(!ctrl.has_pending());
     }
 }

@@ -15,7 +15,7 @@
 
 use crate::config::{ConfigError, SystemConfig};
 use crate::content::WriteContent;
-use crate::controller::{Issued, MemoryController, ReadEnqueue};
+use crate::controller::{Issued, MemoryController, ReadEnqueue, Serviced};
 use crate::memory::PcmMainMemory;
 use crate::request::MemRequest;
 use crate::writecache::{WriteAdmit, WriteCache, WriteCacheStats};
@@ -40,6 +40,8 @@ pub struct RankCore {
     ctrl: MemoryController,
     memory: PcmMainMemory,
     cache: Option<WriteCache>,
+    /// What the last [`Self::issue`] issued; reused by every call.
+    issued: Vec<Issued>,
 }
 
 impl RankCore {
@@ -77,6 +79,7 @@ impl RankCore {
             ctrl,
             memory,
             cache,
+            issued: Vec::new(),
         })
     }
 
@@ -142,18 +145,23 @@ impl RankCore {
         self.enqueue_write(req, &d, tel);
     }
 
-    /// Fill the free banks at `now`; the caller schedules the completions.
+    /// Fill the free banks at `now`; the caller schedules the completions
+    /// of the returned issues. The slice lives in a buffer the core reuses
+    /// on every call.
     #[inline]
     pub fn issue(
         &mut self,
         now: Ps,
         content: &mut dyn WriteContent,
         tel: &mut dyn Telemetry,
-    ) -> Vec<Issued> {
-        self.ctrl.try_issue(now, &mut self.memory, content, tel)
+    ) -> &[Issued] {
+        self.issued.clear();
+        self.ctrl
+            .try_issue(now, &mut self.memory, content, tel, &mut self.issued);
+        &self.issued
     }
 
-    /// A bank completion fired at `at`: its requests (none if stale),
+    /// A bank completion fired at `at`: its requests (`None` if stale),
     /// recording `BankIdle`.
     #[inline]
     pub fn complete(
@@ -162,9 +170,9 @@ impl RankCore {
         epoch: u64,
         at: Ps,
         tel: &mut dyn Telemetry,
-    ) -> Vec<MemRequest> {
+    ) -> Option<Serviced> {
         let reqs = self.ctrl.complete(bank, epoch);
-        if !reqs.is_empty() && tel.wants(TraceDetail::Fine) {
+        if reqs.is_some() && tel.wants(TraceDetail::Fine) {
             tel.record(&TelemetryEvent::BankIdle {
                 at,
                 bank: self.ctrl.trace_lane(bank),

@@ -178,7 +178,7 @@ impl System {
         let issued = self
             .rank
             .issue(self.now, self.content.as_mut(), self.tel.as_mut());
-        for i in &issued {
+        for i in issued {
             self.queue.push(
                 i.completion,
                 Event::BankComplete {
@@ -188,14 +188,20 @@ impl System {
             );
         }
         if !self.rank.ctrl().write_queue_full() {
-            for core in std::mem::take(&mut self.stalled_write) {
+            let mut stalled = std::mem::take(&mut self.stalled_write);
+            for core in stalled.drain(..) {
                 self.wake(core);
             }
+            // Waking stalls no core, so the list is still empty: hand its
+            // buffer back for the next stall.
+            self.stalled_write = stalled;
         }
         if !self.rank.ctrl().read_queue_full() {
-            for core in std::mem::take(&mut self.stalled_read) {
+            let mut stalled = std::mem::take(&mut self.stalled_read);
+            for core in stalled.drain(..) {
                 self.wake(core);
             }
+            self.stalled_read = stalled;
         }
     }
 
@@ -421,11 +427,11 @@ impl System {
     }
 
     fn handle_bank_complete(&mut self, bank: usize, epoch: u64) {
-        // An empty vec is a stale completion of a paused write; the resumed
+        // `None` is a stale completion of a paused write; the resumed
         // instance will deliver its own event. Either way, completing (or
         // skipping) is a scheduling opportunity.
         let reqs = self.rank.complete(bank, epoch, self.now, self.tel.as_mut());
-        for req in reqs {
+        for req in reqs.into_iter().flatten() {
             let latency = self.now - req.arrival;
             match req.kind {
                 AccessKind::Read => {

@@ -1,7 +1,7 @@
 //! Cache-line payloads and 64-bit data units.
 //!
-//! `LineData` is a fixed-capacity, stack-allocated buffer so that the
-//! simulator's hot write path never allocates. Lines up to 256 B (IBM
+//! `LineData` is a fixed-capacity, stack-allocated buffer, so that a line
+//! costs the write path no allocation. Lines up to 256 B (IBM
 //! zEnterprise) are supported.
 
 use std::fmt;

@@ -43,7 +43,10 @@ impl UnitDemand {
 
 /// Write demand for a whole cache line: one [`UnitDemand`] per data unit.
 ///
-/// Fixed capacity — the write path never allocates.
+/// Fixed capacity: a demand lives on the stack whatever the line size, so
+/// counting one never allocates. (Whether a whole write allocates is up to
+/// its scheme's plan; Tetris's does not for the paper's lines — see
+/// `tetris_write::analysis`.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LineDemand {
     units: [UnitDemand; MAX_UNITS_PER_LINE],

@@ -25,83 +25,27 @@ use crate::traits::{
     WriteScheme,
 };
 use pcm_types::{
-    coset_row, coset_rows_available, coset_unit_flips, transitions, with_coset_row, LineData,
-    COSET_PATTERNS, COSET_ROWS,
+    coset_row, coset_rows_available, coset_unit_flips, with_coset_row, COSET_PATTERNS, COSET_ROWS,
+    MAX_UNITS_PER_LINE,
 };
 
-/// One scored row candidate.
-struct RowPlan {
-    stored: LineData,
-    unit_flips: u32,
-    sets: u32,
-    resets: u32,
-    changed: u32,
+/// Cost of storing `word` with tag `flip` over `old` with tag `old_flip`:
+/// `(cell SETs, changed cells)`, tag cell included. Its RESETs are the
+/// difference.
+fn unit_cost(old: u64, old_flip: bool, word: u64, flip: bool) -> (u32, u32) {
+    let sets = (word & !old).count_ones() + (flip & !old_flip) as u32;
+    let changed = (old ^ word).count_ones() + (flip != old_flip) as u32;
+    (sets, changed)
 }
 
-/// Encode the line under one coset row, or `None` if any unit would
-/// exceed the flip bound (changed cells > half the unit, tag included).
-fn encode_row(ctx: &WriteCtx<'_>, row: usize) -> Option<RowPlan> {
-    let bound = ctx.cfg.org.data_unit_bits / 2;
-    let pattern = COSET_PATTERNS[row];
-    let num_units = ctx.new_logical.num_units();
-    let rows_live = coset_rows_available(num_units);
-    let old_row = if rows_live {
-        coset_row(ctx.old_flips)
-    } else {
-        0
-    };
-    let old_unit_flips = if rows_live {
-        coset_unit_flips(ctx.old_flips)
-    } else {
-        ctx.old_flips
-    };
-
-    let mut out = RowPlan {
-        stored: *ctx.new_logical,
-        unit_flips: 0,
-        sets: 0,
-        resets: 0,
-        changed: 0,
-    };
-    for i in 0..num_units {
-        let old_stored = ctx.old_stored.unit(i);
-        let new = ctx.new_logical.unit(i);
-        let old_flip = old_unit_flips & (1 << i) != 0;
-        let mut best: Option<(u32, u32, u32, u64, bool)> = None;
-        for (word, flip) in [(new, false), (new ^ pattern, true)] {
-            let t = transitions(old_stored, word);
-            let tag_changed = (old_flip != flip) as u32;
-            let sets = t.num_sets() + (flip & !old_flip) as u32;
-            let resets = t.num_resets() + (!flip & old_flip) as u32;
-            let changed = t.num_changed() + tag_changed;
-            if changed > bound {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((bs, bc, _, _, _)) => (sets, changed) < (bs, bc),
-            };
-            if better {
-                best = Some((sets, changed, resets, word, flip));
-            }
-        }
-        let (sets, changed, resets, word, flip) = best?;
-        out.stored.set_unit(i, word);
-        if flip {
-            out.unit_flips |= 1 << i;
-        }
-        out.sets += sets;
-        out.resets += resets;
-        out.changed += changed;
-    }
-    // The 2-bit row field is itself made of cells.
-    if rows_live {
-        let rt = transitions(old_row as u64, row as u64);
-        out.sets += rt.num_sets();
-        out.resets += rt.num_resets();
-        out.changed += rt.num_changed();
-    }
-    Some(out)
+/// One coset row's encoding, kept as its tag bits and cost; the stored
+/// line is built only for the winning row.
+#[derive(Clone, Copy)]
+struct RowScore {
+    row: usize,
+    unit_flips: u32,
+    sets: u32,
+    changed: u32,
 }
 
 /// WIRE restricted coset coding.
@@ -119,27 +63,70 @@ impl WriteScheme for WireWrite {
 
     fn plan(&self, ctx: &WriteCtx<'_>) -> WritePlan {
         let cfg: &SchemeConfig = ctx.cfg;
-        let num_units = ctx.new_logical.num_units();
-        let rows = if coset_rows_available(num_units) {
-            COSET_ROWS
+        let (old, new) = (ctx.old_stored, ctx.new_logical);
+        let num_units = new.num_units();
+        let rows_live = coset_rows_available(num_units);
+        let (rows, old_row, old_unit_flips) = if rows_live {
+            (
+                COSET_ROWS,
+                coset_row(ctx.old_flips),
+                coset_unit_flips(ctx.old_flips),
+            )
         } else {
-            1
+            (1, 0, ctx.old_flips)
         };
+        // A unit's changed cells, tag included, must stay within half the
+        // unit (the flip bound the staged timing relies on).
+        let bound = cfg.org.data_unit_bits / 2;
+        let old_flip = |i: usize| old_unit_flips & (1 << i) != 0;
 
-        let mut best: Option<(usize, RowPlan)> = None;
-        for row in 0..rows {
-            let Some(cand) = encode_row(ctx, row) else {
-                continue;
+        // The plain candidate `(new, false)` is the same under every row.
+        let mut plain = [(0u32, 0u32); MAX_UNITS_PER_LINE];
+        for (i, cost) in plain.iter_mut().enumerate().take(num_units) {
+            *cost = unit_cost(old.unit(i), old_flip(i), new.unit(i), false);
+        }
+
+        let mut best: Option<RowScore> = None;
+        'rows: for (row, &pattern) in COSET_PATTERNS.iter().enumerate().take(rows) {
+            let mut score = RowScore {
+                row,
+                unit_flips: 0,
+                sets: 0,
+                changed: 0,
             };
-            let better = match &best {
-                None => true,
-                Some((_, b)) => (cand.sets, cand.changed) < (b.sets, b.changed),
-            };
-            if better {
-                best = Some((row, cand));
+            for (i, &plain_cost) in plain.iter().enumerate().take(num_units) {
+                let coset = unit_cost(old.unit(i), old_flip(i), new.unit(i) ^ pattern, true);
+                // Lexicographic (SETs, changed cells); a tie keeps the
+                // plain word.
+                let flip = match (plain_cost.1 <= bound, coset.1 <= bound) {
+                    (true, true) => coset < plain_cost,
+                    (plain_ok, coset_ok) if plain_ok || coset_ok => coset_ok,
+                    _ => continue 'rows,
+                };
+                let (sets, changed) = if flip { coset } else { plain_cost };
+                score.unit_flips |= (flip as u32) << i;
+                score.sets += sets;
+                score.changed += changed;
+            }
+            // The 2-bit row field is itself made of cells.
+            if rows_live {
+                let (sets, changed) = unit_cost(old_row as u64, false, row as u64, false);
+                score.sets += sets;
+                score.changed += changed;
+            }
+            // A tie keeps the lower row.
+            if best.is_none_or(|b| (score.sets, score.changed) < (b.sets, b.changed)) {
+                best = Some(score);
             }
         }
-        let (row, enc) = best.expect("row 0 (full inversion) is always feasible");
+        let enc = best.expect("row 0 (full inversion) is always feasible");
+        let mut stored = *new;
+        for i in 0..num_units {
+            if enc.unit_flips & (1 << i) != 0 {
+                stored.set_unit(i, new.unit(i) ^ COSET_PATTERNS[enc.row]);
+            }
+        }
+        let resets = enc.changed - enc.sets;
 
         // Three-Stage-Write staging: the flip bound holds for every row.
         let c0 = worst_case_reset_concurrency(cfg, true) as u64;
@@ -151,19 +138,19 @@ impl WriteScheme for WireWrite {
         let equiv = write_time.as_ps() as f64 / cfg.timings.t_set.as_ps() as f64;
 
         let flips = if rows > 1 {
-            with_coset_row(enc.unit_flips, row)
+            with_coset_row(enc.unit_flips, enc.row)
         } else {
             enc.unit_flips
         };
         let read_energy = cfg.energy.read_energy(cfg.org.data_units_per_line() as u64);
         WritePlan {
             service_time: service,
-            energy: cfg.energy.write_energy(enc.sets as u64, enc.resets as u64) + read_energy,
+            energy: cfg.energy.write_energy(enc.sets as u64, resets as u64) + read_energy,
             write_units_equiv: equiv,
-            stored: enc.stored,
+            stored,
             flips,
             cell_sets: enc.sets,
-            cell_resets: enc.resets,
+            cell_resets: resets,
             read_before_write: true,
             partitions_used: 0,
         }
@@ -175,6 +162,7 @@ mod tests {
     use super::*;
     use crate::FlipNWrite;
     use pcm_types::propcheck::{any_u64, vec_of};
+    use pcm_types::LineData;
     use pcm_types::{prop_assert, prop_assert_eq, propcheck, Ps};
 
     fn plan(old: &LineData, flips: u32, new: &LineData) -> WritePlan {

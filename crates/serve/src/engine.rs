@@ -311,7 +311,7 @@ impl ServeEngine {
     /// flight but writes parked below the drain watermark, the engine
     /// idle-drains them (a real controller drains an idle memory the same
     /// way). Returns `false` when the engine is completely idle.
-    pub fn step(&mut self) -> Result<bool, PcmError> {
+    pub fn step(&mut self) -> bool {
         if self.pending.is_empty() {
             for rank in 0..self.lanes.len() {
                 self.lanes[rank].core.force_drain();
@@ -321,9 +321,9 @@ impl ServeEngine {
         match self.pending.peek() {
             Some(&Reverse((t, _, _, _))) => {
                 self.advance_to(t);
-                Ok(true)
+                true
             }
-            None => Ok(false),
+            None => false,
         }
     }
 
@@ -336,7 +336,7 @@ impl ServeEngine {
             for rank in 0..self.lanes.len() {
                 flushed |= self.drain_lane_cache(rank, true);
             }
-            if !self.step()? && !flushed {
+            if !self.step() && !flushed {
                 break;
             }
         }
@@ -394,7 +394,7 @@ impl ServeEngine {
             let reqs = self.lanes[rank]
                 .core
                 .complete(bank, epoch, ct, self.tel.as_mut());
-            for req in reqs {
+            for req in reqs.into_iter().flatten() {
                 if req.id == BACKGROUND_ID {
                     // A write-cache drain finishing its trip to the banks;
                     // the submitter was answered back at admission.

@@ -234,7 +234,7 @@ impl ClosedLoop {
                         if waiting.is_empty() {
                             // Nothing in flight to unblock the queue:
                             // step once so the idle-drain makes progress.
-                            engine.step()?;
+                            engine.step();
                         }
                     }
                 }
@@ -249,7 +249,7 @@ impl ClosedLoop {
                 }
             }
             if !waiting.is_empty() {
-                engine.step()?;
+                engine.step();
             }
         }
         engine.drain()?;
