@@ -25,8 +25,10 @@
 //!   workspace: a cold parse (lex + item parse + every rule) against a
 //!   warm cached scan (fingerprint hits + graph rules only), pinning the
 //!   incremental-scan speedup the CI static-analysis job relies on.
-//! * `canonical/system/*` — a quick end-to-end run under the fixed and
-//!   adaptive scheduling policies (the sched-ablation surface).
+//! * `canonical/system/*` — a quick end-to-end vips × Tetris run under the
+//!   fixed and adaptive scheduling policies (the sched-ablation surface),
+//!   and a read-heavy canneal × DCW run bound by the controller's issue
+//!   path.
 //!
 //! Bench ids are part of the snapshot schema: renaming one orphans its
 //! baseline row (reported as `added`/`missing` by `bench-compare`), so
@@ -275,23 +277,40 @@ pub fn canonical_suite(c: &mut Criterion, quick: bool) {
         g.finish();
     }
 
-    // --- end-to-end system run, both scheduling policies ---------------
+    // --- end-to-end system runs ----------------------------------------
     let run_cfg = RunConfig::builder()
         .instructions_per_core(system_instructions(quick))
         .build()
         .expect("canonical suite configuration is valid");
-    let p = WorkloadProfile::by_name("vips").expect("vips profile exists");
     let mut g = c.benchmark_group("canonical/system");
     g.sample_size(if quick { 5 } else { 10 });
-    for (label, sched) in [
-        ("vips_tetris_fixed", SchedConfig::fixed()),
-        ("vips_tetris_adaptive", SchedConfig::adaptive()),
+    // vips × Tetris under both scheduling policies, and read-heavy
+    // canneal × DCW, whose trivial plan leaves the controller's issue
+    // path and the event queue as the bulk of the run.
+    for (label, workload, scheme, sched) in [
+        (
+            "vips_tetris_fixed",
+            "vips",
+            SchemeKind::Tetris,
+            SchedConfig::fixed(),
+        ),
+        (
+            "vips_tetris_adaptive",
+            "vips",
+            SchemeKind::Tetris,
+            SchedConfig::adaptive(),
+        ),
+        (
+            "canneal_dcw_fixed",
+            "canneal",
+            SchemeKind::Dcw,
+            SchedConfig::fixed(),
+        ),
     ] {
         let mut cfg = run_cfg;
         cfg.system.controller.sched = sched;
-        g.bench_function(label, |b| {
-            b.iter(|| black_box(run_one(p, SchemeKind::Tetris, &cfg)))
-        });
+        let p = WorkloadProfile::by_name(workload).expect("profile exists");
+        g.bench_function(label, |b| b.iter(|| black_box(run_one(p, scheme, &cfg))));
     }
     g.finish();
 }

@@ -3,10 +3,13 @@
 //! instructions per core allocates only to grow its buffers (the line
 //! table, the event heap, the lanes' queues), a count that rises with the
 //! logarithm of the run's length — about a hundred for ~130 k requests.
+//! That holds under the default scheduling policy, under bank steering
+//! and under all three adaptive policies.
 //!
 //! The counting allocator is process-global, so this check is its own
 //! test binary with a single test.
 
+use pcm_memsim::SystemConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tetris_experiments::{run_one, RunConfig, SchemeKind};
@@ -57,23 +60,37 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
 #[test]
 fn vips_tetris_run_allocates_only_to_grow_buffers() {
     let vips = pcm_workloads::WorkloadProfile::by_name("vips").expect("vips profile exists");
-    let run = |instructions: u64| {
-        let cfg = RunConfig::builder()
-            .instructions_per_core(instructions)
-            .build()
-            .expect("default configuration is valid");
-        allocations(|| run_one(vips, SchemeKind::Tetris, &cfg))
-    };
-    // A run of no instructions is the set-up alone: generator, content
-    // model and system.
-    let (set_up, _) = run(0);
-    let (total, result) = run(8_000_000);
-    let requests = result.mem_reads + result.mem_writes;
-    let per_request = (total - set_up) as f64 / requests as f64;
-    assert!(
-        per_request < 0.01,
-        "{} allocations beyond the set-up's {set_up} over {requests} requests \
-         ({per_request:.4} per request)",
-        total - set_up
-    );
+    // The default policy, and least-utilized-first steering alone and
+    // with the other adaptive policies.
+    let policies = [
+        ("default", SystemConfig::builder()),
+        ("bank_steering", SystemConfig::builder().bank_steering(true)),
+        (
+            "adaptive_scheduling",
+            SystemConfig::builder().adaptive_scheduling(),
+        ),
+    ];
+    for (policy, system) in policies {
+        let system = system.build().expect("policy configuration is valid");
+        let run = |instructions: u64| {
+            let cfg = RunConfig::builder()
+                .system(system)
+                .instructions_per_core(instructions)
+                .build()
+                .expect("default configuration is valid");
+            allocations(|| run_one(vips, SchemeKind::Tetris, &cfg))
+        };
+        // A run of no instructions is the set-up alone: generator,
+        // content model and system.
+        let (set_up, _) = run(0);
+        let (total, result) = run(8_000_000);
+        let requests = result.mem_reads + result.mem_writes;
+        let per_request = (total - set_up) as f64 / requests as f64;
+        assert!(
+            per_request < 0.01,
+            "{policy}: {} allocations beyond the set-up's {set_up} over {requests} requests \
+             ({per_request:.4} per request)",
+            total - set_up
+        );
+    }
 }

@@ -96,16 +96,17 @@ impl BankState {
         self.busy_until = now;
     }
 
-    /// Bank indices sorted least-utilized-first (cumulative busy time,
-    /// then cumulative partition occupancy, ties broken by index so the
-    /// order is deterministic). The steering policy visits free banks in
-    /// this order to flatten the per-bank utilization spread; the
-    /// partition key only matters for partition-parallel schemes, where
-    /// equal-busy banks are told apart by disturb pressure.
-    pub fn least_utilized_order(banks: &[BankState]) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..banks.len()).collect();
-        order.sort_by_key(|&i| (banks[i].busy_total(), banks[i].partition_busy_total(), i));
+    /// Sort the bank indices in `order` least-utilized-first (cumulative
+    /// busy time, then cumulative partition occupancy, ties broken by
+    /// index so the order is deterministic). The steering policy visits
+    /// free banks in this order to flatten the per-bank utilization
+    /// spread; the partition key only matters for partition-parallel
+    /// schemes, where equal-busy banks are told apart by disturb pressure.
+    /// The keys are unique, so any subset sorts to its place in the order
+    /// of all banks.
+    pub fn least_utilized_order(banks: &[BankState], order: &mut [usize]) {
         order
+            .sort_unstable_by_key(|&i| (banks[i].busy_total(), banks[i].partition_busy_total(), i));
     }
 }
 
@@ -155,17 +156,19 @@ mod tests {
         banks[0].begin_write(Ps::ZERO, 0, Ps::from_ns(300));
         banks[1].begin_write(Ps::ZERO, 0, Ps::from_ns(100));
         banks[3].begin_write(Ps::ZERO, 0, Ps::from_ns(100));
+        let order = |banks: &[BankState], mut order: Vec<usize>| {
+            BankState::least_utilized_order(banks, &mut order);
+            order
+        };
         // bank 2 idle (0 ns) < banks 1,3 (100 ns, index tiebreak) < bank 0.
-        assert_eq!(BankState::least_utilized_order(&banks), vec![2, 1, 3, 0]);
+        assert_eq!(order(&banks, vec![0, 1, 2, 3]), vec![2, 1, 3, 0]);
         // Partition pressure breaks the 1-vs-3 busy tie the other way.
         banks[1].note_partitions(4);
         assert_eq!(banks[1].partition_busy_total(), 4);
-        assert_eq!(BankState::least_utilized_order(&banks), vec![2, 3, 1, 0]);
-        assert_eq!(
-            BankState::least_utilized_order(&[]),
-            Vec::<usize>::new(),
-            "empty bank set"
-        );
+        assert_eq!(order(&banks, vec![3, 2, 1, 0]), vec![2, 3, 1, 0]);
+        // A subset keeps its place in the full order.
+        assert_eq!(order(&banks, vec![0, 1, 3]), vec![3, 1, 0]);
+        assert_eq!(order(&banks, vec![]), Vec::<usize>::new(), "empty set");
     }
 
     #[test]

@@ -17,6 +17,21 @@
 //! bus latency, without touching the arrays. A read issued to a bank
 //! occupies it for the read timing and counts as a memory read; its data
 //! is not modelled.
+//!
+//! A scheduling round visits only the lanes marked since the last one.
+//! After a round every lane is settled: a free lane has nothing it could
+//! issue, and a busy one could only be preempted by write pausing. A lane
+//! stays settled until an event marks it: a read queued on it, a write
+//! pushed on it, its own completion or a write completing in another
+//! subarray of its bank (the shared pump frees), and a drain starting,
+//! which marks every lane. A lane that issues a write while reads wait
+//! on it stays marked, since the next round may pause that write. Nothing
+//! else can make a settled lane issue: a read window only changes what a
+//! lane with queued reads issues, and such a lane is never settled while
+//! free; a drain stopping or a coalesced write only ever takes work away.
+//! So the marked lanes, in index (or steering) order, do exactly what a
+//! scan of every lane would do. Debug builds check after every round that
+//! no unmarked lane could issue.
 
 use crate::bankstate::BankState;
 use crate::config::ControllerConfig;
@@ -240,6 +255,10 @@ pub struct MemoryController<Q = LaneQueues> {
     /// contents; kept between picks so that a drain allocates nothing.
     picked: Vec<QueuedReq>,
     writes: Vec<(pcm_types::PhysAddr, pcm_types::LineData)>,
+    /// One bit per lane: the lanes the next round visits.
+    dirty: Vec<u64>,
+    /// The lanes a round visits, in visiting order.
+    visit: Vec<usize>,
     /// Statistics.
     pub stats: CtrlStats,
 }
@@ -271,6 +290,8 @@ impl<Q: ReqQueue> MemoryController<Q> {
             lane_base: 0,
             picked: Vec::new(),
             writes: Vec::new(),
+            dirty: vec![0; lanes.div_ceil(64)],
+            visit: Vec::with_capacity(lanes),
             stats: CtrlStats::default(),
         }
     }
@@ -297,16 +318,53 @@ impl<Q: ReqQueue> MemoryController<Q> {
         flat_bank * s + (row % s as u64) as usize
     }
 
+    /// The lanes of `lane`'s bank (one per subarray).
+    fn bank_lanes(&self, lane: usize) -> std::ops::Range<usize> {
+        let s = self.cfg.subarrays_per_bank.max(1);
+        lane / s * s..(lane / s + 1) * s
+    }
+
     /// True if another subarray of `lane`'s bank has a write in flight or
     /// paused (the shared pump allows one write per bank).
     fn bank_write_busy(&self, lane: usize) -> bool {
-        let s = self.cfg.subarrays_per_bank.max(1);
-        let bank = lane / s;
-        (bank * s..(bank + 1) * s).any(|l| {
+        self.bank_lanes(lane).any(|l| {
             l != lane
                 && (self.in_flight[l].as_ref().is_some_and(|f| f.is_write)
                     || self.paused[l].is_some())
         })
+    }
+
+    /// Have the next scheduling round visit `lane`.
+    fn mark(&mut self, lane: usize) {
+        self.dirty[lane / 64] |= 1 << (lane % 64);
+    }
+
+    /// Have the next scheduling round visit every lane.
+    fn mark_all(&mut self) {
+        for lane in 0..self.banks.len() {
+            self.mark(lane);
+        }
+    }
+
+    /// Could a round at `now` make `lane` do anything: pause its write
+    /// for a queued read or, free, take a read, a drain write or its
+    /// paused write? An unmarked lane must answer no after every round.
+    fn could_issue(&self, lane: usize, now: Ps) -> bool {
+        let reads = self.read_q.has(lane);
+        match &self.in_flight[lane] {
+            Some(f) if !self.banks[lane].is_free(now) => {
+                self.cfg.write_pausing
+                    && reads
+                    && f.is_write
+                    && f.pauses < self.cfg.max_pauses_per_write
+            }
+            Some(_) => false,
+            None => {
+                reads
+                    || self.paused[lane].is_some()
+                    || (self.drain && self.write_q.has(lane) && !self.bank_write_busy(lane))
+            }
+        }
     }
 
     /// Is the read queue at capacity?
@@ -361,6 +419,7 @@ impl<Q: ReqQueue> MemoryController<Q> {
     pub fn force_drain(&mut self) {
         if self.write_q.len() > 0 {
             self.drain = true;
+            self.mark_all();
         }
     }
 
@@ -388,6 +447,7 @@ impl<Q: ReqQueue> MemoryController<Q> {
             line: d.line,
             absorbed: Vec::new(),
         });
+        self.mark(lane);
         ReadEnqueue::Queued
     }
 
@@ -424,11 +484,13 @@ impl<Q: ReqQueue> MemoryController<Q> {
             line: d.line,
             absorbed: Vec::new(),
         });
+        self.mark(lane);
         self.observe_write_depth(req.arrival, tel);
         // Drain entry at the policy's high mark (queue capacity under the
         // fixed policy — the paper's fill-to-capacity behaviour).
         if !self.drain && self.write_q.len() >= self.sched.high_watermark() {
             self.drain = true;
+            self.mark_all();
             self.stats.drains += 1;
             self.sched.note_drain_start(req.arrival);
             if tel.wants(TraceDetail::Coarse) {
@@ -440,7 +502,9 @@ impl<Q: ReqQueue> MemoryController<Q> {
         }
     }
 
-    /// Issue requests to every free bank. Writes are only eligible while
+    /// Issue requests to every free bank that can take one (visiting only
+    /// the lanes marked since the last round; the others have nothing to
+    /// issue, see the module doc). Writes are only eligible while
     /// draining; during a drain, a bank with no queued write may still take
     /// a read. Appends the newly issued requests to `issued`, which the
     /// caller owns and reuses (schedule their completions as
@@ -467,22 +531,28 @@ impl<Q: ReqQueue> MemoryController<Q> {
             }
         }
         let window_active = window.active();
+        // The marked lanes, in index order; the marks start afresh.
+        self.visit.clear();
+        for (w, word) in self.dirty.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                self.visit.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
         // Steering policy: visit free banks least-utilized-first so idle
         // banks pick up backlog before already-hot ones; index order
         // otherwise.
-        let steered = self.sched.bank_order(&self.banks);
-        for k in 0..self.banks.len() {
-            let bank = steered.as_ref().map_or(k, |order| order[k]);
+        let steered = self.sched.bank_order(&self.banks, &mut self.visit);
+        let max_pauses = self.cfg.max_pauses_per_write;
+        for k in 0..self.visit.len() {
+            let bank = self.visit[k];
             // Write pausing: a busy write yields to a queued read for the
             // same bank at an iteration boundary.
-            if self.cfg.write_pausing
-                && !self.banks[bank].is_free(now)
-                && self.in_flight[bank].as_ref().is_some_and(|f| f.is_write)
-                && self.read_q.has(bank)
-            {
-                let pauses = self.in_flight[bank].as_ref().expect("checked above").pauses;
-                if pauses < self.cfg.max_pauses_per_write {
-                    let f = self.in_flight[bank].take().expect("checked above");
+            if self.cfg.write_pausing && !self.banks[bank].is_free(now) && self.read_q.has(bank) {
+                if let Some(f) =
+                    self.in_flight[bank].take_if(|f| f.is_write && f.pauses < max_pauses)
+                {
                     let remaining = self.banks[bank].busy_until().saturating_sub(now);
                     self.paused[bank] = Some(PausedWrite {
                         reqs: f.reqs,
@@ -496,7 +566,7 @@ impl<Q: ReqQueue> MemoryController<Q> {
                         tel.record(&TelemetryEvent::WritePause {
                             at: now,
                             bank: self.trace_lane(bank),
-                            pauses: pauses + 1,
+                            pauses: f.pauses + 1,
                         });
                     }
                 }
@@ -514,7 +584,7 @@ impl<Q: ReqQueue> MemoryController<Q> {
             {
                 // Which bank strict index-order servicing would have
                 // drained first — recorded when steering deviates.
-                let fifo_bank = if steered.is_some() {
+                let fifo_bank = if steered {
                     (0..self.banks.len()).find(|&b| {
                         self.in_flight[b].is_none()
                             && self.banks[b].is_free(now)
@@ -610,6 +680,10 @@ impl<Q: ReqQueue> MemoryController<Q> {
                         row,
                         pauses: 0,
                     });
+                    // Write pausing may preempt it for a waiting read.
+                    if self.read_q.has(bank) {
+                        self.mark(bank);
+                    }
                     if let Some(over) = fifo_bank {
                         if over != bank {
                             self.stats.steered_writes += 1;
@@ -695,6 +769,11 @@ impl<Q: ReqQueue> MemoryController<Q> {
                 });
             }
         }
+        debug_assert!(
+            (0..self.banks.len())
+                .all(|l| self.dirty[l / 64] & (1 << (l % 64)) != 0 || !self.could_issue(l, now)),
+            "an unmarked lane could still issue at {now:?}"
+        );
     }
 
     /// A bank finished (or a stale completion of a paused write fired);
@@ -702,7 +781,14 @@ impl<Q: ReqQueue> MemoryController<Q> {
     /// `None` for stale events.
     pub fn complete(&mut self, bank: usize, epoch: u64) -> Option<Serviced> {
         match &self.in_flight[bank] {
-            Some(f) if f.epoch == epoch => self.in_flight[bank].take().map(|f| f.reqs),
+            Some(f) if f.epoch == epoch => {
+                // The lane is free, and a finished write frees the bank's
+                // pump for its other subarrays.
+                for lane in self.bank_lanes(bank) {
+                    self.mark(lane);
+                }
+                self.in_flight[bank].take().map(|f| f.reqs)
+            }
             _ => None,
         }
     }
@@ -1499,10 +1585,12 @@ mod tests {
     /// Run a `(write, line, gap-ns)` stream through `ctrl` the way the
     /// serve engine does — completions in `(time, bank, epoch)` order,
     /// an issue round after every completion and arrival, then a forced
-    /// drain — and log every step, the telemetry and the counters.
+    /// drain — and log every step, the telemetry and the counters. With
+    /// `every_lane`, each round visits every lane, marked or not.
     fn drive<Q: ReqQueue>(
         mut ctrl: MemoryController<Q>,
         ops: &[(bool, u64, u64)],
+        every_lane: bool,
     ) -> (Vec<Step>, MemorySink, String) {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
@@ -1520,6 +1608,9 @@ mod tests {
              tel: &mut MemorySink,
              log: &mut Vec<Step>,
              pending: &mut BinaryHeap<Reverse<(Ps, usize, u64)>>| {
+                if every_lane {
+                    ctrl.mark_all();
+                }
                 for i in ctrl.issue_vec(now, &mut mem, &mut content, tel) {
                     log.push(Step::Issued(i.bank, i.req.id, i.completion, i.epoch));
                     pending.push(Reverse((i.completion, i.bank, i.epoch)));
@@ -1583,6 +1674,30 @@ mod tests {
         (log, tel, counters)
     }
 
+    /// A controller config from the knob matrix the differential tests
+    /// sweep.
+    fn knob_config(
+        subarrays: usize,
+        pausing: bool,
+        coalesce: bool,
+        steering: bool,
+        (batch_writes, windows): (usize, bool),
+    ) -> ControllerConfig {
+        ControllerConfig {
+            subarrays_per_bank: subarrays,
+            write_pausing: pausing,
+            coalesce_writes: coalesce,
+            batch_writes,
+            sched: crate::sched::SchedConfig {
+                bank_steering: steering,
+                read_windows: windows,
+                adaptive_watermarks: windows,
+                ..crate::sched::SchedConfig::fixed()
+            },
+            ..Default::default()
+        }
+    }
+
     propcheck! {
         cases = 96;
         /// Per-lane queues schedule exactly like one arrival-ordered
@@ -1597,29 +1712,39 @@ mod tests {
             steering in any_bool(),
             batch_and_windows in (one_of(&[1usize, 4]), any_bool())
         ) {
-            let (batch_writes, windows) = batch_and_windows;
-            let cfg = ControllerConfig {
-                subarrays_per_bank: subarrays,
-                write_pausing: pausing,
-                coalesce_writes: coalesce,
-                batch_writes,
-                sched: crate::sched::SchedConfig {
-                    bank_steering: steering,
-                    read_windows: windows,
-                    adaptive_watermarks: windows,
-                    ..crate::sched::SchedConfig::fixed()
-                },
-                ..Default::default()
-            };
+            let cfg = knob_config(subarrays, pausing, coalesce, steering, batch_and_windows);
             let timings = pcm_types::PcmTimings::paper_baseline();
             let (lanes, lane_tel, lane_counters) =
-                drive(MemoryController::new(cfg, timings, 8), &ops);
+                drive(MemoryController::new(cfg, timings, 8), &ops, false);
             let (global, global_tel, global_counters) =
-                drive(MemoryController::<GlobalScan>::with_queues(cfg, timings, 8), &ops);
+                drive(MemoryController::<GlobalScan>::with_queues(cfg, timings, 8), &ops, false);
             prop_assert!(lanes.iter().any(|s| matches!(s, Step::Issued(..))));
             prop_assert_eq!(lanes, global);
             prop_assert_eq!(lane_tel.events, global_tel.events);
             prop_assert_eq!(lane_counters, global_counters);
+        }
+
+        /// A round that visits only the marked lanes does exactly what a
+        /// round visiting every lane does: the same issues, completions,
+        /// forwards, telemetry and counters, across the same knobs.
+        fn dirty_lanes_match_every_lane_scan(
+            ops in vec_of((any_bool(), 0u64..=63, 0u64..=300), 40..=200),
+            subarrays in one_of(&[1usize, 2, 4]),
+            pausing in any_bool(),
+            coalesce in any_bool(),
+            steering in any_bool(),
+            batch_and_windows in (one_of(&[1usize, 4]), any_bool())
+        ) {
+            let cfg = knob_config(subarrays, pausing, coalesce, steering, batch_and_windows);
+            let timings = pcm_types::PcmTimings::paper_baseline();
+            let (dirty, dirty_tel, dirty_counters) =
+                drive(MemoryController::new(cfg, timings, 8), &ops, false);
+            let (every, every_tel, every_counters) =
+                drive(MemoryController::new(cfg, timings, 8), &ops, true);
+            prop_assert!(dirty.iter().any(|s| matches!(s, Step::Issued(..))));
+            prop_assert_eq!(dirty, every);
+            prop_assert_eq!(dirty_tel.events, every_tel.events);
+            prop_assert_eq!(dirty_counters, every_counters);
         }
     }
 

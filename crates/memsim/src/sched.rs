@@ -267,12 +267,14 @@ impl SchedPolicy {
         WindowPoll::Inactive
     }
 
-    /// The order in which the controller should visit banks this round:
-    /// least-utilized-first under steering, `None` for index order.
-    pub fn bank_order(&self, banks: &[BankState]) -> Option<Vec<usize>> {
-        self.cfg
-            .bank_steering
-            .then(|| BankState::least_utilized_order(banks))
+    /// Put the banks the controller visits this round, given in index
+    /// order, in the order to visit them: least-utilized-first under
+    /// steering (and returns `true`), left as they are otherwise.
+    pub fn bank_order(&self, banks: &[BankState], visit: &mut [usize]) -> bool {
+        if self.cfg.bank_steering {
+            BankState::least_utilized_order(banks, visit);
+        }
+        self.cfg.bank_steering
     }
 }
 
@@ -302,7 +304,9 @@ mod tests {
         let mut p = SchedPolicy::new(&ctrl, &PcmTimings::paper_baseline());
         assert_eq!(p.low_watermark(), ctrl.write_low_watermark);
         assert_eq!(p.high_watermark(), ctrl.write_queue_cap);
-        assert_eq!(p.bank_order(&[BankState::default(); 2]), None);
+        let mut visit = [0, 1];
+        assert!(!p.bank_order(&[BankState::default(); 2], &mut visit));
+        assert_eq!(visit, [0, 1]);
         for d in [0usize, 5, 31, 32] {
             assert_eq!(p.observe_depth(d), None, "fixed mode never adapts");
         }
@@ -384,8 +388,11 @@ mod tests {
             &ctrl_with(SchedConfig::fixed()),
             &PcmTimings::paper_baseline(),
         );
-        let banks = vec![BankState::default(); 4];
-        assert_eq!(p.bank_order(&banks), None, "index order");
+        let mut banks = vec![BankState::default(); 4];
+        banks[0].begin_write(Ps::ZERO, 0, Ps::from_ns(300));
+        let mut visit = [0, 1, 3];
+        assert!(!p.bank_order(&banks, &mut visit));
+        assert_eq!(visit, [0, 1, 3], "index order");
     }
 
     propcheck! {
@@ -419,7 +426,8 @@ mod tests {
                 b.begin_write(Ps::ZERO, 0, Ps::from_ns(ns));
             }
             let p = adaptive_policy();
-            let order = p.bank_order(&banks).unwrap();
+            let mut order: Vec<usize> = (0..banks.len()).rev().collect();
+            prop_assert!(p.bank_order(&banks, &mut order), "steering is on");
             let mut sorted = order.clone();
             sorted.sort_unstable();
             prop_assert!(sorted == (0..banks.len()).collect::<Vec<_>>(), "not a permutation");
